@@ -33,7 +33,7 @@ from .cosets import (
     iter_coset_leaders,
     multiplicative_order,
 )
-from .field import DEFAULT_TABLE_CAP, ExtField, PrimeField, build_ext_field
+from .field import DEFAULT_TABLE_CAP, ExtField, build_ext_field
 from .pipeline import (
     IcqParams,
     MembershipReport,
@@ -47,7 +47,6 @@ from .pipeline import (
     theta,
 )
 from .weights import (
-    DEFAULT_ORACLE_CAP,
     WeightEnumerator,
     WeightSpectrum,
     macwilliams_dual,
@@ -67,11 +66,11 @@ __all__ = [
     "generator_matrix", "irreducible_cyclic_code", "minimal_polynomial",
     "Coset", "CosetPartition", "coset_count_formula", "coset_leaders",
     "cosets_full", "iter_coset_leaders", "multiplicative_order",
-    "DEFAULT_TABLE_CAP", "ExtField", "PrimeField", "build_ext_field",
+    "DEFAULT_TABLE_CAP", "ExtField", "build_ext_field",
     "IcqParams", "MembershipReport", "PipelineReport", "digit_sum",
     "epsilon_bound", "icq_membership", "noisy_gauss_oracle",
     "run_pipeline", "run_pipeline_trials", "theta",
-    "DEFAULT_ORACLE_CAP", "WeightEnumerator", "WeightSpectrum",
+    "WeightEnumerator", "WeightSpectrum",
     "macwilliams_dual", "s_function", "weight_spectrum_bruteforce",
     "weight_spectrum_mceliece",
 ]

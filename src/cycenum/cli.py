@@ -25,7 +25,6 @@ from .pipeline import (
     theta,
 )
 from .weights import (
-    DEFAULT_ORACLE_CAP,
     WeightEnumerator,
     macwilliams_dual,
     weight_spectrum_bruteforce,
@@ -115,9 +114,9 @@ def _spectra_for(args):
     if method == "mceliece":
         return spec, weight_spectrum_mceliece(spec), method
     if method == "brute":
-        return spec, weight_spectrum_bruteforce(spec, cap=args.oracle_cap), method
+        return spec, weight_spectrum_bruteforce(spec), method
     a = weight_spectrum_mceliece(spec)
-    b = weight_spectrum_bruteforce(spec, cap=args.oracle_cap)
+    b = weight_spectrum_bruteforce(spec)
     if a.counts != b.counts:
         raise SpectrumMismatch("mceliece and brute-force spectra disagree")
     return spec, a, "both"
@@ -238,12 +237,9 @@ def build_parser() -> argparse.ArgumentParser:
     def add_json(p):
         p.add_argument("--json", action="store_true", help="emit JSON")
 
-    def add_caps(p, oracle=False):
+    def add_caps(p):
         p.add_argument("--table-cap", type=int, default=DEFAULT_TABLE_CAP,
                        help="max q^k for log/antilog tables")
-        if oracle:
-            p.add_argument("--oracle-cap", type=int, default=DEFAULT_ORACLE_CAP,
-                           help="max q^k for brute-force enumeration")
 
     p = sub.add_parser("cosets", help="p-cyclotomic cosets of {0..N-1}")
     p.add_argument("N", type=int)
@@ -285,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("N", type=int)
         p.add_argument("--method", choices=("mceliece", "brute", "both"),
                        default="mceliece")
-        add_caps(p, oracle=True)
+        add_caps(p)
         add_json(p)
         p.set_defaults(func=handler)
 

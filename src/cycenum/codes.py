@@ -17,7 +17,7 @@ import numpy as np
 
 from . import poly
 from .cosets import CosetPartition, cosets_full, coset_count_formula, multiplicative_order
-from .errors import InvalidParameters, NoDegreeKFactor, OrderMismatch
+from .errors import InvalidParameters, NoDegreeKFactor, OrderMismatch, SpectrumMismatch
 from .field import DEFAULT_TABLE_CAP, ExtField, build_ext_field
 from .intmath import check_prime, euler_phi, factorize
 
@@ -32,7 +32,36 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# minimal polynomials over a table-backed field
+# Frobenius orbits and minimal polynomials over a table-backed field
+
+
+def _orbit(e: int, q: int, m: int) -> list[int]:
+    """The Frobenius orbit e, eq, eq^2, ... mod m, for q coprime to m."""
+    orbit = [e % m]
+    a = orbit[0] * q % m
+    while a != orbit[0]:
+        orbit.append(a)
+        a = a * q % m
+    return orbit
+
+
+def _orbit_product(F: ExtField, exponents: list[int]) -> list[int]:
+    """Coefficients of the product of (X - alpha**e) over the exponents.
+
+    The exponents form a union of Frobenius orbits, so every coefficient
+    lies in the base field; one that does not raises OrderMismatch.
+    """
+    prod = [1]
+    for e in exponents:
+        nroot = F.neg(F.alpha_pow(e))
+        nxt = [0] * (len(prod) + 1)
+        for i, c in enumerate(prod):
+            nxt[i + 1] = F.add(nxt[i + 1], c)
+            nxt[i] = F.add(nxt[i], F.mul(nroot, c))
+        prod = nxt
+    if any(c >= F.q for c in prod):
+        raise OrderMismatch("orbit product left the base field")
+    return prod
 
 
 def minimal_polynomial(s: int, partition: CosetPartition, F: ExtField) -> list[int]:
@@ -54,33 +83,13 @@ def minimal_polynomial(s: int, partition: CosetPartition, F: ExtField) -> list[i
     if F.k % coset.size != 0:
         raise OrderMismatch(
             f"coset size {coset.size} does not divide extension degree {F.k}")
-    members = coset.members
-    if members is None:
-        members = []
-        a = s
-        for _ in range(coset.size):
-            members.append(a)
-            a = a * partition.p % N
     step = F.group_order // N
-
-    # incremental product of linear factors over F
-    prod = [1]
-    for eta in members:
-        root = F.alpha_pow(step * eta)
-        nroot = F.neg(root)
-        nxt = [0] * (len(prod) + 1)
-        for i, c in enumerate(prod):
-            nxt[i + 1] = F.add(nxt[i + 1], c)
-            nxt[i] = F.add(nxt[i], F.mul(nroot, c))
-        prod = nxt
-
-    coeffs = []
-    for c in prod:
-        if c >= F.q:
-            raise OrderMismatch("minimal polynomial left the base field")
-        coeffs.append(c)
-    assert coeffs[-1] == 1 and len(coeffs) - 1 == coset.size
-    assert poly.is_irreducible(coeffs, F.q)
+    coeffs = _orbit_product(F, [step * eta for eta in _orbit(s, F.q, N)])
+    if coeffs[-1] != 1 or len(coeffs) - 1 != coset.size:
+        raise InvalidParameters(f"minimal polynomial of degree {len(coeffs) - 1} "
+                                f"for a coset of size {coset.size}")
+    if not poly.is_irreducible(coeffs, F.q):
+        raise InvalidParameters(f"minimal polynomial of {s} is reducible")
     return coeffs
 
 
@@ -138,7 +147,8 @@ def _cyclotomic_mod(f: int, q: int) -> tuple[int, ...]:
     for d in range(1, f):
         if f % d == 0:
             quot, rem = poly.poly_divmod(num, list(_cyclotomic_mod(d, q)), q)
-            assert not rem
+            if rem:
+                raise SpectrumMismatch(f"Phi_{d} does not divide x^{f} - 1")
             num = quot
     return tuple(num)
 
@@ -151,7 +161,8 @@ def _factor_cyclotomic(f: int, q: int) -> dict[int, tuple[int, ...]]:
         return {0: ((q - 1) % q, 1)}
     k = multiplicative_order(q, f)
     phi = euler_phi(f)
-    assert phi % k == 0
+    if phi % k:
+        raise SpectrumMismatch(f"ord_{f}({q}) = {k} does not divide phi({f}) = {phi}")
     if phi == k:
         return {1: _cyclotomic_mod(f, q)}
 
@@ -162,12 +173,8 @@ def _factor_cyclotomic(f: int, q: int) -> dict[int, tuple[int, ...]]:
     for s in range(1, f):
         if gcd(s, f) != 1 or s in seen:
             continue
-        orbit = []
-        a = s
-        while a not in seen:
-            seen.add(a)
-            orbit.append(a)
-            a = a * q % f
+        orbit = _orbit(s, q, f)
+        seen.update(orbit)
         prod = [sf.one]
         for e in orbit:
             root = sf.pow(beta, e)
@@ -179,10 +186,12 @@ def _factor_cyclotomic(f: int, q: int) -> dict[int, tuple[int, ...]]:
             prod = nxt
         coeffs = []
         for c in prod:
-            assert not c[1:].any(), "factor coefficient left the base field"
+            if c[1:].any():
+                raise OrderMismatch("factor coefficient left the base field")
             coeffs.append(int(c[0]))
         factors[s] = tuple(coeffs)
-    assert len(factors) == phi // k
+    if len(factors) != phi // k:
+        raise SpectrumMismatch(f"{len(factors)} factors of Phi_{f}, expected {phi // k}")
     return factors
 
 
@@ -199,22 +208,21 @@ def factor_xn_minus_1(n: int, q: int) -> list[list[int]]:
     for coset in partition.cosets:
         f = n // gcd(n, coset.leader) if coset.leader else 1
         table = _factor_cyclotomic(f, q)
-        s_mod_f = coset.leader // (n // f)
-        orbit_min = s_mod_f
-        a = s_mod_f * q % f
-        while a != s_mod_f:
-            orbit_min = min(orbit_min, a)
-            a = a * q % f
-        factors.append(list(table[orbit_min]))
-        assert len(factors[-1]) - 1 == coset.size
+        factors.append(list(table[min(_orbit(coset.leader // (n // f), q, f))]))
+        if len(factors[-1]) - 1 != coset.size:
+            raise SpectrumMismatch(f"factor of degree {len(factors[-1]) - 1} "
+                                   f"for a coset of size {coset.size}")
 
     # product check, mod-q convolution chain
     acc = np.array([1], dtype=np.int64)
     for fac in factors:
         acc = np.convolve(acc, np.array(fac, dtype=np.int64)) % q
     expect = np.array(poly.x_pow_n_minus_1(n, q), dtype=np.int64)
-    assert np.array_equal(acc, expect), "factor product != x^n - 1"
-    assert len(factors) == coset_count_formula(n, q)
+    if not np.array_equal(acc, expect):
+        raise SpectrumMismatch(f"factor product != x^{n} - 1")
+    count = coset_count_formula(n, q)
+    if len(factors) != count:
+        raise SpectrumMismatch(f"{len(factors)} factors, expected {count}")
     return factors
 
 
@@ -269,32 +277,19 @@ def irreducible_cyclic_code(q: int, k: int, N: int,
             f"ord_{n}({q}) = {multiplicative_order(q, n)} != k = {k}")
 
     F = build_ext_field(q, k, table_cap)
-    root_exp = (-N) % total if total > 1 else 0
 
     # Frobenius orbit of alpha**(-N); its size is ord_n(q) = k
-    orbit = []
-    e = root_exp
-    while e not in orbit:
-        orbit.append(e)
-        e = e * q % total
+    orbit = _orbit(-N, q, total)
     if len(orbit) != k:
         raise NoDegreeKFactor(
             f"minimal polynomial of alpha^-N has degree {len(orbit)}, expected {k}")
-
-    h = [1]
-    for e in orbit:
-        root = F.alpha_pow(e)
-        nroot = F.neg(root)
-        nxt = [0] * (len(h) + 1)
-        for i, c in enumerate(h):
-            nxt[i + 1] = F.add(nxt[i + 1], c)
-            nxt[i] = F.add(nxt[i], F.mul(nroot, c))
-        h = nxt
-    assert all(c < q for c in h), "check polynomial left the base field"
-    assert poly.is_irreducible(h, q)
+    h = _orbit_product(F, orbit)
+    if not poly.is_irreducible(h, q):
+        raise NoDegreeKFactor("check polynomial is reducible")
 
     g, rem = poly.poly_divmod(poly.x_pow_n_minus_1(n, q), h, q)
-    assert not rem, "check polynomial does not divide x^n - 1"
+    if rem:
+        raise NoDegreeKFactor(f"check polynomial does not divide x^{n} - 1")
     return CodeSpec(q=q, k=k, n=n, N=N, field=F, generator=g, check=h)
 
 

@@ -9,7 +9,7 @@ materializes member lists, which keeps very large N feasible.
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import NotCoprime
+from .errors import NotCoprime, SpectrumMismatch
 from .intmath import divisors, euler_phi
 
 __all__ = [
@@ -140,6 +140,7 @@ def coset_count_formula(N: int, q: int) -> int:
     for f in divisors(N):
         phi = euler_phi(f)
         ord_q = multiplicative_order(q, f)
-        assert phi % ord_q == 0
+        if phi % ord_q:
+            raise SpectrumMismatch(f"ord_{f}({q}) = {ord_q} does not divide phi({f})")
         total += phi // ord_q
     return total

@@ -66,11 +66,8 @@ class NonIntegerWeight(CycenumError):
 
 
 class SpectrumMismatch(CycenumError):
-    """Weight spectrum fails a consistency check (counts do not add up)."""
-
-
-class OracleCapExceeded(CycenumError):
-    """Brute-force enumeration request exceeds the oracle cap."""
+    """A spectrum or factorization fails a consistency check (counts or
+    products do not add up)."""
 
 
 class NonIntegerDualCoefficient(CycenumError):

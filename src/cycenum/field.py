@@ -1,4 +1,4 @@
-"""Prime fields GF(q) and extension fields GF(q**k) with log/antilog tables.
+"""Extension fields GF(q**k) with log/antilog tables.
 
 Elements of GF(q**k) are plain ints in [0, q**k): the packed value
 sum(c_i * q**i) of the coefficient vector (c_0, ..., c_(k-1)) over GF(q).
@@ -15,37 +15,11 @@ from functools import lru_cache
 import numpy as np
 
 from . import poly
-from .errors import FieldMismatch, LogOfZero, TableCapExceeded
+from .errors import (FieldMismatch, InvalidParameters, LogOfZero, OrderMismatch,
+                     TableCapExceeded)
 from .intmath import check_prime, factorize
 
 DEFAULT_TABLE_CAP = 1 << 22
-
-
-class PrimeField:
-    """GF(q) for prime q; arithmetic on ints in [0, q)."""
-
-    def __init__(self, q: int):
-        self.q = check_prime(q)
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.q
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.q
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.q
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.q
-
-    def inv(self, a: int) -> int:
-        if a % self.q == 0:
-            raise ZeroDivisionError("inverse of zero in GF(q)")
-        return pow(a, -1, self.q)
-
-    def __repr__(self):
-        return f"GF({self.q})"
 
 
 def _pack(coeffs, q: int) -> int:
@@ -176,7 +150,8 @@ class ExtField:
         for _ in range(self.k):
             acc = self.add(acc, self.exp_table[(m * qj) % self.group_order])
             qj *= self.q
-        assert acc < self.q, "trace left the base field"
+        if acc >= self.q:
+            raise OrderMismatch("trace left the base field")
         return acc
 
     def trace_table(self) -> np.ndarray:
@@ -259,16 +234,19 @@ def build_ext_field(q: int, k: int, table_cap: int = DEFAULT_TABLE_CAP) -> ExtFi
             if has_full_order(v):
                 alpha = v
                 break
-    assert alpha is not None, "no primitive element found"  # unreachable
+    if alpha is None:
+        raise InvalidParameters("no primitive element found")  # unreachable
 
     exp_table = [0] * group_order
     log_table: list = [None] * order
     acc = 1
     for i in range(group_order):
         exp_table[i] = acc
-        assert log_table[acc] is None, "alpha has order below q^k - 1"
+        if log_table[acc] is not None:
+            raise InvalidParameters("alpha has order below q^k - 1")
         log_table[acc] = i
         acc = _mul_raw(acc, alpha, modulus, q, k)
-    assert acc == 1, "alpha**(q^k - 1) != 1"
+    if acc != 1:
+        raise InvalidParameters("alpha**(q^k - 1) != 1")
 
     return ExtField(q, k, tuple(modulus), alpha, exp_table, log_table)

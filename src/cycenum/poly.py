@@ -6,8 +6,6 @@ exact. Irreducibility uses Rabin's test with a numpy-backed modular
 multiply so that degrees in the low hundreds stay cheap.
 """
 
-import itertools
-
 import numpy as np
 
 from .errors import DivideByZeroPoly, NoIrreducibleFound
@@ -25,26 +23,6 @@ def trim(p: list[int]) -> list[int]:
 def degree(p: list[int]) -> int:
     """Degree of p; -1 for the zero polynomial."""
     return len(p) - 1
-
-
-def poly_add(a: list[int], b: list[int], q: int) -> list[int]:
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i, c in enumerate(a):
-        out[i] = c
-    for i, c in enumerate(b):
-        out[i] = (out[i] + c) % q
-    return trim(out)
-
-
-def poly_sub(a: list[int], b: list[int], q: int) -> list[int]:
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i, c in enumerate(a):
-        out[i] = c
-    for i, c in enumerate(b):
-        out[i] = (out[i] - c) % q
-    return trim(out)
 
 
 def poly_mul(a: list[int], b: list[int], q: int) -> list[int]:
@@ -90,27 +68,6 @@ def poly_gcd(a: list[int], b: list[int], q: int) -> list[int]:
         inv = pow(a[-1], -1, q)
         a = [(c * inv) % q for c in a]
     return a
-
-
-def poly_mod_pow(base: list[int], e: int, modulus: list[int], q: int) -> list[int]:
-    """base**e mod modulus by square-and-multiply; e >= 0 may be a big int."""
-    if e < 0:
-        raise ValueError("negative exponent")
-    result = [1]
-    acc = poly_mod(base, modulus, q)
-    while e:
-        if e & 1:
-            result = poly_mod(poly_mul(result, acc, q), modulus, q)
-        acc = poly_mod(poly_mul(acc, acc, q), modulus, q)
-        e >>= 1
-    return result
-
-
-def poly_eval(p: list[int], x: int, q: int) -> int:
-    acc = 0
-    for c in reversed(p):
-        acc = (acc * x + c) % q
-    return acc
 
 
 def x_pow_n_minus_1(n: int, q: int) -> list[int]:
@@ -243,8 +200,3 @@ def find_irreducible(q: int, k: int) -> list[int]:
             return cand
     raise NoIrreducibleFound(f"no irreducible of degree {k} over GF({q})")
 
-
-def all_monic(q: int, k: int):
-    """Yield every monic degree-k polynomial over GF(q) (test helper)."""
-    for tail in itertools.product(range(q), repeat=k):
-        yield list(tail) + [1]

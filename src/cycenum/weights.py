@@ -2,11 +2,14 @@
 
 weight_spectrum_mceliece evaluates the Gauss-sum weight formula once per
 q-cyclotomic coset leader of {0, ..., N-1} and multiplies the tally by n
-for cyclic shifts; weight_spectrum_bruteforce enumerates every one of the
-q**k trace words directly and is the independent oracle the formula is
-tested against. The MacWilliams transform is carried out in exact integer
-arithmetic, switching between a sparse per-weight expansion and a dense
-three-pass substitution depending on which is cheaper.
+for cyclic shifts. weight_spectrum_bruteforce is the independent oracle
+the formula is tested against: it reads every trace letter from the field
+tables, as the weight of column r of Tr(alpha**m) reshaped to n x N is
+the weight of the word of alpha**r and of its n cyclic shifts, so the
+whole spectrum costs O(q**k). The MacWilliams transform is carried out in
+exact integer arithmetic: a sparse expansion with one convolution per
+distinct weight when the input has few weights, otherwise a dense pass of
+two Horner Taylor shifts that costs O(n**2) whatever the input.
 """
 
 import cmath
@@ -22,7 +25,6 @@ from .errors import (
     NonIntegerDualCoefficient,
     NonIntegerWeight,
     NonRealResult,
-    OracleCapExceeded,
     SpectrumMismatch,
 )
 
@@ -34,8 +36,6 @@ __all__ = [
     "weight_spectrum_bruteforce",
     "macwilliams_dual",
 ]
-
-DEFAULT_ORACLE_CAP = 1 << 16
 
 WEIGHT_INT_TOL = 1e-6
 IMAG_TOL = 1e-6
@@ -137,31 +137,19 @@ def _leader_sizes(spec: CodeSpec):
         yield coset.leader, coset.size
 
 
-def weight_spectrum_bruteforce(spec: CodeSpec,
-                               cap: int = DEFAULT_ORACLE_CAP) -> WeightSpectrum:
-    """Direct enumeration of all q**k trace words, counting Hamming weights.
+def weight_spectrum_bruteforce(spec: CodeSpec) -> WeightSpectrum:
+    """Direct count of the Hamming weights of all q**k trace words.
 
-    Vectorized letter-by-letter: for each of the n positions the nonzero
-    indicator of Tr(tau * alpha^(jN)) is accumulated over every nonzero
-    tau at once. Completely independent of the Gauss-sum route.
+    Column r of Tr(alpha**m) reshaped to n x N is the word of alpha**r,
+    and the word of alpha**(r + jN) is its cyclic shift by j, so the
+    column weights times n, plus the zero word, are the spectrum.
+    Completely independent of the Gauss-sum route.
     """
-    if spec.field.order > cap:
-        raise OracleCapExceeded(f"q^k = {spec.field.order} exceeds oracle cap {cap}")
-    F = spec.field
-    M = F.group_order
-    nz = (F.trace_table() != 0).astype(np.int64)
-    wvec = np.zeros(M, dtype=np.int64)
-    for j in range(spec.n):
-        s = (j * spec.N) % M
-        if s == 0:
-            wvec += nz
-        else:
-            wvec[: M - s] += nz[s:]
-            wvec[M - s:] += nz[:s]
+    nz = (spec.field.trace_table() != 0).reshape(spec.n, spec.N)
+    hist = np.bincount(nz.sum(axis=0))
     counts: dict[int, int] = {0: 1}  # the tau = 0 word
-    hist = np.bincount(wvec)
     for w in np.nonzero(hist)[0]:
-        counts[int(w)] = counts.get(int(w), 0) + int(hist[w])
+        counts[int(w)] = counts.get(int(w), 0) + spec.n * int(hist[w])
     return _validated(WeightSpectrum(counts, spec.n), spec)
 
 
@@ -198,40 +186,29 @@ def _dual_sparse(counts: dict[int, int], n: int, q: int) -> list[int]:
     return acc
 
 
+def _taylor_shift(a: list[int], c: int) -> None:
+    """In place a(x) -> a(x + c), coefficients low degree first (Horner)."""
+    n = len(a) - 1
+    for i in range(n):
+        acc = a[n]
+        for j in range(n - 1, i - 1, -1):
+            acc = a[j] + c * acc
+            a[j] = acc
+
+
 def _dual_dense(counts: dict[int, int], n: int, q: int) -> list[int]:
     """Same polynomial via a shear factorization of the substitution.
 
     (x, y) -> (x+(q-1)y, x-y) factors as x -> x+(1-q)y, then
-    (x, y) -> (qx, -y), then y -> y-x; each factor is a triangular
-    binomial pass over the coefficient vector, so the transform is
-    O(n^2) no matter how dense the input spectrum is.
+    (x, y) -> (qx, -y), then y -> y-x. The first is a Taylor shift by
+    1-q of A(x, 1), the last a Taylor shift by -1 of A(1, y), so the
+    transform is O(n^2) no matter how dense the input spectrum is.
     """
-    c = [counts.get(i, 0) for i in range(n + 1)]
-    # x -> x + (1-q)y: new_c[s] = sum over t <= s of c[t]*C(n-t, s-t)*(1-q)^(s-t)
-    out = [0] * (n + 1)
-    for t, ct in enumerate(c):
-        if ct == 0:
-            continue
-        row = _binomial_row(n - t)
-        p = 1
-        for s in range(t, n + 1):
-            out[s] += ct * row[s - t] * p
-            p *= 1 - q
-    c = out
-    # x -> q*x, y -> -y: c[t] *= q^(n-t) * (-1)^t
-    for t in range(n + 1):
-        c[t] *= q ** (n - t) * (-1) ** t
-    # y -> y - x: new_c[s] = sum over t >= s of c[t] * C(t, s) * (-1)^(t-s)
-    out = [0] * (n + 1)
-    for t, ct in enumerate(c):
-        if ct == 0:
-            continue
-        row = _binomial_row(t)
-        p = 1
-        for s in range(t, -1, -1):
-            out[s] += ct * row[s] * p
-            p *= -1
-    return out
+    a = [counts.get(n - d, 0) for d in range(n + 1)]  # by x-degree
+    _taylor_shift(a, 1 - q)
+    c = [a[n - t] * q ** (n - t) * (-1) ** t for t in range(n + 1)]
+    _taylor_shift(c, -1)
+    return c
 
 
 def macwilliams_dual(w: WeightEnumerator, q: int, k: int, n: int) -> WeightEnumerator:

@@ -1,4 +1,4 @@
-"""Small GF(q) linear-algebra helpers used as independent test oracles."""
+"""Small GF(q) helpers used as independent test oracles."""
 
 import itertools
 
@@ -63,6 +63,23 @@ def enumerate_span(basis, q):
             if s:
                 w = [(a + s * x) % q for a, x in zip(w, b)]
         yield tuple(w)
+
+
+def all_monic(q, k):
+    """Every monic degree-k polynomial over GF(q), low degree first."""
+    for tail in itertools.product(range(q), repeat=k):
+        yield list(tail) + [1]
+
+
+def poly_add(a, b, q):
+    """Coefficient-wise sum mod q, trailing zeros trimmed."""
+    out = [0] * max(len(a), len(b))
+    for p in (a, b):
+        for i, c in enumerate(p):
+            out[i] = (out[i] + c) % q
+    while out and out[-1] == 0:
+        out.pop()
+    return out
 
 
 def spectrum_from_words(words):

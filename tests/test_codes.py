@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import cycenum
 from cycenum import (
     build_ext_field,
     codeword_from_trace,
@@ -12,7 +18,7 @@ from cycenum import (
 )
 from cycenum import poly
 from cycenum.errors import InvalidParameters, NotCoprime, OrderMismatch
-from gf_utils import enumerate_span, gf_rank
+from gf_utils import all_monic, enumerate_span, gf_rank
 
 
 def eval_in_field(p, x, F):
@@ -78,7 +84,7 @@ def test_factor_x5_minus_1_gf2():
     # oracle: exhaustive irreducibility of the quartic by trial division
     quartic = [1, 1, 1, 1, 1]
     assert all(poly.poly_mod(quartic, g, 2)
-               for d in (1, 2) for g in poly.all_monic(2, d))
+               for d in (1, 2) for g in all_monic(2, d))
     assert factor_xn_minus_1(5, 2) == [[1, 1], quartic]
 
 
@@ -141,6 +147,26 @@ def test_code_rejects_bad_order():
         irreducible_cyclic_code(2, 4, 5)
     with pytest.raises(InvalidParameters):
         irreducible_cyclic_code(2, 4, 7)  # 7 does not divide 15
+
+
+def test_check_polynomial_verified_under_python_O():
+    # python -O strips assert statements; the irreducibility check must not go
+    script = "\n".join([
+        "from cycenum import poly",
+        "from cycenum.codes import irreducible_cyclic_code",
+        "from cycenum.errors import NoDegreeKFactor",
+        "irreducible_cyclic_code(2, 4, 3)  # builds GF(16) before the patch",
+        "poly.is_irreducible = lambda p, q: False",
+        "try:",
+        "    irreducible_cyclic_code(2, 4, 3)",
+        "except NoDegreeKFactor:",
+        "    raise SystemExit(0)",
+        "raise SystemExit('a reducible check polynomial was accepted')",
+    ])
+    env = {**os.environ, "PYTHONPATH": str(Path(cycenum.__file__).parents[1])}
+    run = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
 
 
 def test_check_divides_xn_minus_1():

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cycenum import build_ext_field, PrimeField
+from cycenum import build_ext_field
 from cycenum.errors import FieldMismatch, LogOfZero, NotPrime, TableCapExceeded
 from cycenum.intmath import divisors
 
@@ -149,18 +149,6 @@ def test_errors():
         F.add(-1, 1)
     with pytest.raises(FieldMismatch):
         F.trace(99)
-
-
-def test_prime_field_ops():
-    F = PrimeField(7)
-    assert F.add(5, 4) == 2
-    assert F.mul(3, 5) == 1
-    assert F.inv(3) == 5
-    assert F.neg(2) == 5
-    with pytest.raises(NotPrime):
-        PrimeField(9)
-    with pytest.raises(ZeroDivisionError):
-        F.inv(0)
 
 
 def test_field_serialization_shape():

@@ -3,6 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from cycenum import poly
 from cycenum.errors import DivideByZeroPoly
+from gf_utils import all_monic, poly_add
 
 
 def naive_is_irreducible(p, q):
@@ -11,7 +12,7 @@ def naive_is_irreducible(p, q):
     if deg <= 0:
         return False
     for d in range(1, deg // 2 + 1):
-        for g in poly.all_monic(q, d):
+        for g in all_monic(q, d):
             if not poly.poly_mod(p, g, q):
                 return False
     return True
@@ -53,30 +54,13 @@ def test_divmod_identity(args):
         return
     quot, rem = poly.poly_divmod(a, b, q)
     assert poly.degree(rem) < poly.degree(b)
-    assert poly.poly_add(poly.poly_mul(quot, b, q), rem, q) == a
-
-
-@settings(max_examples=100, deadline=None)
-@given(poly_pair())
-def test_add_sub_roundtrip(args):
-    q, a, b = args
-    assert poly.poly_sub(poly.poly_add(a, b, q), b, q) == a
-
-
-def test_mod_pow_matches_naive():
-    modulus = [1, 1, 0, 0, 1]
-    base = [0, 1]
-    for e in range(20):
-        naive = [1]
-        for _ in range(e):
-            naive = poly.poly_mod(poly.poly_mul(naive, base, 2), modulus, 2)
-        assert poly.poly_mod_pow(base, e, modulus, 2) == naive
+    assert poly_add(poly.poly_mul(quot, b, q), rem, q) == a
 
 
 @pytest.mark.parametrize("q", [2, 3])
 def test_irreducibility_vs_trial_division(q):
     for d in range(1, 5):
-        for p in poly.all_monic(q, d):
+        for p in all_monic(q, d):
             assert poly.is_irreducible(p, q) == naive_is_irreducible(p, q), p
 
 
@@ -102,11 +86,6 @@ def test_gcd_of_coprime_factors():
     b = [1, 1, 1]  # x^2 + x + 1
     assert poly.poly_gcd(poly.poly_mul(a, b, 2), a, 2) == a
     assert poly.poly_gcd(a, b, 2) == [1]
-
-
-def test_eval():
-    p = [1, 2, 1]  # 1 + 2x + x^2 over GF(3)
-    assert [poly.poly_eval(p, x, 3) for x in range(3)] == [1, 1, 0]
 
 
 def test_to_string():
