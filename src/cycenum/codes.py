@@ -140,6 +140,13 @@ class _SplittingField:
         raise OrderMismatch(f"no element of order {f} in GF({q}^{k})")
 
 
+@lru_cache(maxsize=64)
+def _splitting_field(q: int, k: int) -> _SplittingField:
+    """One splitting field per (q, k), shared by every cyclotomic order f
+    with ord_f(q) = k, so its modulus is searched for once."""
+    return _SplittingField(q, k)
+
+
 @lru_cache(maxsize=None)
 def _cyclotomic_mod(f: int, q: int) -> tuple[int, ...]:
     """Cyclotomic polynomial of order f reduced mod q (f coprime to q)."""
@@ -166,7 +173,7 @@ def _factor_cyclotomic(f: int, q: int) -> dict[int, tuple[int, ...]]:
     if phi == k:
         return {1: _cyclotomic_mod(f, q)}
 
-    sf = _SplittingField(q, k)
+    sf = _splitting_field(q, k)
     beta = sf.element_of_order(f)
     factors: dict[int, tuple[int, ...]] = {}
     seen = set()

@@ -6,6 +6,24 @@ Zero is 0 and the multiplicative identity is 1. Multiplication goes
 through the discrete-log tables of a verified primitive element alpha;
 addition is digit-wise mod q (XOR when q == 2).
 
+The tables are built with numpy and no per-element Python loop.
+Multiplication by a fixed element is a GF(q)-linear map, a k x k matrix
+acting on coefficient vectors, so:
+
+- alpha is found by raising the matrices of a batch of candidates to
+  (q**k - 1)/p for every prime p at once;
+- the exp table is built by block doubling (rows [B, 2B) of the digit
+  table are rows [0, B) times the matrix of alpha**B) up to one chunk of
+  _CHUNK rows, and every later chunk is that first chunk times the matrix
+  of alpha**start, so a full q**k x k digit matrix is never held;
+- the trace, a linear functional, is read from two small tables indexed
+  by the low and high digits of each packed value.
+
+Every check raises rather than asserts, so it holds under python -O:
+alpha must reach every nonzero element exactly once and return to 1, and
+the trace table must take each value of GF(q) exactly q**(k-1) times over
+the field, as a nonzero linear functional does.
+
 Fields are immutable after construction and safe to share between any
 number of readers.
 """
@@ -20,6 +38,8 @@ from .errors import (FieldMismatch, InvalidParameters, LogOfZero, OrderMismatch,
 from .intmath import check_prime, factorize
 
 DEFAULT_TABLE_CAP = 1 << 22
+_CHUNK = 1 << 12  # rows of digit work held at once; a power of two
+_SCAN = 32  # primitive-element candidates tested per batch
 
 
 def _pack(coeffs, q: int) -> int:
@@ -41,8 +61,11 @@ class ExtField:
     """GF(q**k) built from a monic irreducible modulus, with full tables.
 
     exp_table[i] is the packed value of alpha**i for i in [0, q**k - 2];
-    log_table is its inverse on the nonzero elements. Constructed through
-    build_ext_field, which verifies the modulus and the order of alpha.
+    log_table is its inverse on the nonzero elements, with log_table[0]
+    None. Both are lists of ints, built chunk by chunk by block doubling.
+    Constructed through build_ext_field, which verifies the modulus and
+    the order of alpha. The trace table is built on first use, from the
+    linearity of the trace, and checked to be balanced over GF(q).
     """
 
     def __init__(self, q: int, k: int, modulus: tuple[int, ...], alpha: int,
@@ -155,12 +178,29 @@ class ExtField:
         return acc
 
     def trace_table(self) -> np.ndarray:
-        """Tr(alpha**m) for m in [0, q**k - 2] as an int64 array (cached)."""
+        """Tr(alpha**m) for m in [0, q**k - 2] as an int64 array (cached).
+
+        Tr is GF(q)-linear: Tr(a) = digits(a) . t mod q with t_j = Tr(x**j).
+        Splitting a packed value v as lo + q**h * hi with h = k // 2, Tr(v)
+        is lo_table[lo] + hi_table[hi] mod q, two tables of q**h and
+        q**(k-h) entries read at the exp table chunk by chunk. A nonzero linear
+        functional takes each value of GF(q) exactly q**(k-1) times over
+        the field; a table that does not raises OrderMismatch.
+        """
         if self._trace_np is None:
-            self._trace_np = np.array(
-                [self.trace(self.exp_table[m]) for m in range(self.group_order)],
-                dtype=np.int64,
-            )
+            q, k = self.q, self.k
+            h = k // 2
+            t = [self.trace(q**j) for j in range(k)]
+            lo_table, hi_table = _functional_table(t[:h], q), _functional_table(t[h:], q)
+            table = np.empty(self.group_order, dtype=np.int64)
+            for start in range(0, self.group_order, _CHUNK):
+                hi, lo = np.divmod(self.exp_table[start:start + _CHUNK], q**h)
+                table[start:start + _CHUNK] = (lo_table[lo] + hi_table[hi]) % q
+            counts = np.bincount(table, minlength=q)
+            counts[0] += 1  # the zero element
+            if (counts != q ** (k - 1)).any():
+                raise OrderMismatch("trace is not balanced over the base field")
+            self._trace_np = table
         return self._trace_np
 
     def to_dict(self) -> dict:
@@ -170,83 +210,154 @@ class ExtField:
         return f"GF({self.q}^{self.k}, modulus={poly.to_string(list(self.modulus))})"
 
 
-def _mul_raw(a: int, b: int, modulus: list[int], q: int, k: int) -> int:
-    """Table-free product of packed elements, used only during construction."""
-    av = _unpack(a, q, k)
-    bv = _unpack(b, q, k)
-    prod = [0] * (2 * k - 1)
-    for i, ai in enumerate(av):
-        if ai:
-            for j, bj in enumerate(bv):
-                prod[i + j] += ai * bj
-    for i in range(2 * k - 2, k - 1, -1):
-        c = prod[i] % q
-        if c:
-            for j in range(k + 1):
-                prod[i - k + j] = (prod[i - k + j] - c * modulus[j]) % q
-    return _pack([c % q for c in prod[:k]], q)
+def _functional_table(t: list[int], q: int) -> np.ndarray:
+    """sum_j digits(v)_j * t_j mod q for every packed v below q**len(t)."""
+    out = np.zeros(1, dtype=np.int64)
+    for tj in t:  # digit j is the slowest-varying index so far
+        out = (np.arange(q)[:, None] * tj + out).ravel() % q
+    return out
 
 
-def _pow_raw(a: int, e: int, modulus: list[int], q: int, k: int) -> int:
-    result = 1
-    while e:
-        if e & 1:
-            result = _mul_raw(result, a, modulus, q, k)
-        a = _mul_raw(a, a, modulus, q, k)
-        e >>= 1
-    return result
+def _digits(vals, q: int, k: int) -> np.ndarray:
+    """len(vals) x k matrix of the coefficient vectors of packed elements."""
+    vals = np.asarray(vals, dtype=np.int64)
+    return vals[:, None] // q ** np.arange(k, dtype=np.int64) % q
 
 
-@lru_cache(maxsize=64)
+def _x_powers(modulus: list[int], q: int, k: int) -> np.ndarray:
+    """The k x k matrices of multiplication by x**i for i < k, stacked.
+
+    Coefficient vectors are rows: digits(a * x**i) = digits(a) @ out[i].
+    Multiplication by a = sum a_i x**i is then the matrix sum a_i out[i].
+    """
+    x = np.zeros((k, k), dtype=np.int64)
+    x[:-1, 1:] = np.eye(k - 1, dtype=np.int64)
+    x[-1] = [(-c) % q for c in modulus[:k]]  # x**k mod the modulus
+    out = np.empty((k, k, k), dtype=np.int64)
+    out[0] = np.eye(k, dtype=np.int64)
+    for i in range(1, k):
+        out[i] = out[i - 1] @ x % q
+    return out
+
+
+def _multipliers(elements, x_powers: np.ndarray, q: int) -> np.ndarray:
+    """The matrices of multiplication by each packed element, stacked."""
+    digits = _digits(elements, q, x_powers.shape[0])
+    return np.tensordot(digits, x_powers, axes=1) % q
+
+
+def _full_order(mats: np.ndarray, q: int, group_order: int) -> np.ndarray:
+    """Which of the stacked multiply-by-a matrices have a of order q**k - 1.
+
+    a has full order iff a != 0 and a**(G/p) != 1 for every prime p | G.
+    The powers are taken by square-and-multiply on the matrices, for every
+    a and every p at once; row 0 of a matrix power is the coefficient
+    vector of the power itself.
+    """
+    nonzero = mats.any(axis=(1, 2))
+    exps = [group_order // p for p in factorize(group_order)]
+    power = np.zeros((len(exps), len(mats), 1, mats.shape[-1]), dtype=np.int64)
+    power[..., 0] = 1
+    bit = 0
+    while any(e >> bit for e in exps):
+        sel = [i for i, e in enumerate(exps) if e >> bit & 1]
+        power[sel] = power[sel] @ mats % q
+        mats = mats @ mats % q
+        bit += 1
+    is_one = (power[..., 0, 0] == 1) & ~power[..., 0, 1:].any(axis=-1)
+    return nonzero & ~is_one.any(axis=0)
+
+
+def _primitive_element(modulus: list[int], x_powers: np.ndarray, q: int) -> int:
+    """x when it is primitive, otherwise the first element (in packed-value
+    order) of full multiplicative order; candidates are tested in batches."""
+    k = len(modulus) - 1
+    order = q**k
+    x_residue = q if k > 1 else (-modulus[0]) % q
+    if _full_order(_multipliers([x_residue], x_powers, q), q, order - 1)[0]:
+        return x_residue
+    for start in range(1, order, _SCAN):
+        cands = np.arange(start, min(start + _SCAN, order))
+        hits = np.flatnonzero(_full_order(_multipliers(cands, x_powers, q), q, order - 1))
+        if hits.size:
+            return int(cands[hits[0]])
+    raise InvalidParameters("no primitive element found")  # unreachable
+
+
+def _tables(mul: np.ndarray, q: int, k: int) -> tuple[list[int], list]:
+    """exp and log tables of the alpha that mul multiplies by.
+
+    Block doubling fills the first chunk of powers: rows [B, 2B) of the
+    digit table are rows [0, B) times the matrix of alpha**B. Every later
+    chunk is the first chunk times the matrix of alpha**start, so one
+    chunk of digits is held at a time, and log is filled as chunks arrive.
+    The two tables share one int object per value, which saves about 40%
+    of their memory. Raises InvalidParameters unless alpha**m hits every
+    nonzero element exactly once for m < q**k - 1 and alpha**(q**k - 1) == 1.
+    """
+    group_order = q**k - 1
+    qpow = q ** np.arange(k, dtype=np.int64)
+    size = min(_CHUNK, group_order)
+    block = np.ones(1, dtype=np.int64)
+    step = mul
+    while len(block) < size:
+        head = block[:size - len(block)]
+        block = np.concatenate([block, _digits(head, q, k) @ step % q @ qpow])
+        step = step @ step % q
+    # size is _CHUNK, a power of two, whenever a later chunk exists, so
+    # step is now the matrix of alpha**size. The later chunks work in
+    # float64, which takes the BLAS path and vectorises the reduction mod
+    # q; every value is an integer of at most k * (q-1)**2, which
+    # build_ext_field keeps below 2**53, so all of it is exact.
+    first = _digits(block, q, k).astype(np.float64)
+    qpow_f = qpow.astype(np.float64)
+    ints = np.arange(q**k, dtype=object)
+    exp_table = ints[block].tolist()
+    log = np.full(q**k, -1, dtype=np.int64)
+    log[block] = np.arange(size)
+    jump = step
+    for start in range(size, group_order, size):
+        prod = first[:group_order - start] @ jump
+        block = ((prod - q * np.floor(prod / q)) @ qpow_f).astype(np.int64)
+        exp_table += ints[block].tolist()
+        log[block] = np.arange(start, start + len(block))
+        jump = jump @ step % q
+    if (log[1:] < 0).any():
+        raise InvalidParameters("alpha has order below q^k - 1")
+    if (_digits(block[-1:], q, k) @ mul % q @ qpow)[0] != 1:
+        raise InvalidParameters("alpha**(q^k - 1) != 1")
+    log_table = ints[log].tolist()
+    log_table[0] = None
+    return exp_table, log_table
+
+
 def build_ext_field(q: int, k: int, table_cap: int = DEFAULT_TABLE_CAP) -> ExtField:
     """Construct GF(q**k) with a verified modulus and primitive element.
 
     Deterministic: the modulus is the first irreducible in the packed-value
     scan and alpha is the residue class of x when primitive, otherwise the
     first element (in packed-value order) of full multiplicative order.
+    Fields are cached by (q, k) however the call is spelled;
+    build_ext_field.cache_clear() empties the cache.
     """
     check_prime(q)
     if k < 1:
         raise ValueError("extension degree must be >= 1")
-    order = q**k
-    if order > table_cap:
-        raise TableCapExceeded(f"q^k = {order} exceeds table cap {table_cap}")
+    if q**k > table_cap:
+        raise TableCapExceeded(f"q^k = {q**k} exceeds table cap {table_cap}")
+    if k * (q - 1) ** 2 >= 1 << 53:  # the table build's float64 products must stay exact
+        raise TableCapExceeded(f"GF({q}^{k}) is too large to tabulate exactly")
+    return _build(q, k)
 
+
+@lru_cache(maxsize=64)
+def _build(q: int, k: int) -> ExtField:
     modulus = poly.find_irreducible(q, k)
-    group_order = order - 1
-
-    def has_full_order(a: int) -> bool:
-        if a == 0:
-            return False
-        if group_order == 1:
-            return True
-        for p in factorize(group_order):
-            if _pow_raw(a, group_order // p, modulus, q, k) == 1:
-                return False
-        return True
-
-    x_residue = q if k > 1 else (-modulus[0]) % q
-    alpha = None
-    if has_full_order(x_residue):
-        alpha = x_residue
-    else:
-        for v in range(1, order):
-            if has_full_order(v):
-                alpha = v
-                break
-    if alpha is None:
-        raise InvalidParameters("no primitive element found")  # unreachable
-
-    exp_table = [0] * group_order
-    log_table: list = [None] * order
-    acc = 1
-    for i in range(group_order):
-        exp_table[i] = acc
-        if log_table[acc] is not None:
-            raise InvalidParameters("alpha has order below q^k - 1")
-        log_table[acc] = i
-        acc = _mul_raw(acc, alpha, modulus, q, k)
-    if acc != 1:
-        raise InvalidParameters("alpha**(q^k - 1) != 1")
-
+    x_powers = _x_powers(modulus, q, k)
+    alpha = _primitive_element(modulus, x_powers, q)
+    exp_table, log_table = _tables(_multipliers([alpha], x_powers, q)[0], q, k)
     return ExtField(q, k, tuple(modulus), alpha, exp_table, log_table)
+
+
+build_ext_field.cache_clear = _build.cache_clear
+build_ext_field.cache_info = _build.cache_info

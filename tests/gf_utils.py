@@ -2,6 +2,10 @@
 
 import itertools
 
+from cycenum import poly
+from cycenum.field import ExtField
+from cycenum.intmath import factorize
+
 
 def gf_rank(matrix, q):
     m = [row[:] for row in matrix]
@@ -88,3 +92,86 @@ def spectrum_from_words(words):
         hw = sum(1 for v in w if v)
         counts[hw] = counts.get(hw, 0) + 1
     return counts
+
+
+# -- per-element field builder, the reference for cycenum.field ----------
+
+def _unpack(v, q, k):
+    out = []
+    for _ in range(k):
+        out.append(v % q)
+        v //= q
+    return out
+
+
+def _pack(coeffs, q):
+    v = 0
+    for c in reversed(coeffs):
+        v = v * q + c
+    return v
+
+
+def _mul_raw(a, b, modulus, q, k):
+    """Table-free product of packed elements: schoolbook, then reduction."""
+    av = _unpack(a, q, k)
+    bv = _unpack(b, q, k)
+    prod = [0] * (2 * k - 1)
+    for i, ai in enumerate(av):
+        if ai:
+            for j, bj in enumerate(bv):
+                prod[i + j] += ai * bj
+    for i in range(2 * k - 2, k - 1, -1):
+        c = prod[i] % q
+        if c:
+            for j in range(k + 1):
+                prod[i - k + j] = (prod[i - k + j] - c * modulus[j]) % q
+    return _pack([c % q for c in prod[:k]], q)
+
+
+def _pow_raw(a, e, modulus, q, k):
+    result = 1
+    while e:
+        if e & 1:
+            result = _mul_raw(result, a, modulus, q, k)
+        a = _mul_raw(a, a, modulus, q, k)
+        e >>= 1
+    return result
+
+
+def reference_field(q, k):
+    """GF(q**k) built one element at a time, by the same rules as
+    cycenum.build_ext_field: alpha is x when primitive, otherwise the first
+    element of full order in packed-value order; exp/log come from repeated
+    multiplication by alpha and the trace table from per-element traces.
+
+    Returns (modulus, alpha, exp_table, log_table, trace_table as a list).
+    """
+    modulus = poly.find_irreducible(q, k)
+    order = q**k
+    group_order = order - 1
+
+    def has_full_order(a):
+        if a == 0:
+            return False
+        return all(_pow_raw(a, group_order // p, modulus, q, k) != 1
+                   for p in factorize(group_order))
+
+    x_residue = q if k > 1 else (-modulus[0]) % q
+    if has_full_order(x_residue):
+        alpha = x_residue
+    else:
+        alpha = next(v for v in range(1, order) if has_full_order(v))
+
+    exp_table = [0] * group_order
+    log_table = [None] * order
+    acc = 1
+    for i in range(group_order):
+        exp_table[i] = acc
+        assert log_table[acc] is None, "alpha has order below q^k - 1"
+        log_table[acc] = i
+        acc = _mul_raw(acc, alpha, modulus, q, k)
+    assert acc == 1
+
+    F = ExtField(q, k, tuple(modulus), alpha, exp_table, log_table)
+    trace = [F.trace(exp_table[m]) for m in range(group_order)]
+    return tuple(modulus), alpha, exp_table, log_table, trace

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cycenum
 from cycenum import CosetPartition, GaussSumValue, MembershipReport, PipelineReport
 from cycenum.cli import main
 from cycenum.weights import WeightSpectrum
@@ -188,3 +193,18 @@ def test_no_stderr_on_success(capsys):
         code, _, err = run_cli(capsys, *argv)
         assert code == 0, argv
         assert err == "", argv
+
+
+def test_weights_at_2_pow_20_formula_equals_oracle():
+    # a fresh process, so the GF(2^20) tables do not stay cached in this one;
+    # --method both exits 1 if the formula and the reshape oracle disagree
+    env = {**os.environ, "PYTHONPATH": str(Path(cycenum.__file__).parents[1])}
+    run = subprocess.run([sys.executable, "-m", "cycenum", "weights", "2", "20", "3",
+                          "--method", "both", "--json"],
+                         env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stderr == ""
+    payload = json.loads(run.stdout)
+    assert payload["method"] == "both"
+    assert payload["n"] == (2**20 - 1) // 3
+    assert sum(payload["spectrum"].values()) == 2**20

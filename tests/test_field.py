@@ -1,9 +1,18 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cycenum import build_ext_field
-from cycenum.errors import FieldMismatch, LogOfZero, NotPrime, TableCapExceeded
-from cycenum.intmath import divisors
+import cycenum
+from cycenum import build_ext_field, field
+from cycenum.errors import (FieldMismatch, InvalidParameters, LogOfZero, NotPrime,
+                            OrderMismatch, TableCapExceeded)
+from cycenum.intmath import divisors, is_prime
+
+from gf_utils import reference_field
 
 
 def test_gf2_trivial_group():
@@ -154,3 +163,88 @@ def test_errors():
 def test_field_serialization_shape():
     F = build_ext_field(2, 4)
     assert F.to_dict() == {"q": 2, "k": 4, "modulus": [1, 1, 0, 0, 1]}
+
+
+# -- vectorised tables against the per-element reference builder ----------
+
+# Every field with q**k <= 2**16 except the prime fields GF(q) with
+# 2**8 < q < 65521: those 6487 would take the per-element reference
+# builder many minutes, and GF(65521) stands for them.
+REFERENCE_FIELDS = [(q, k) for q in range(2, 1 << 8) if is_prime(q)
+                    for k in range(1, 17) if q**k <= 1 << 16] + [(65521, 1)]
+
+
+@pytest.fixture
+def cold_fields():
+    build_ext_field.cache_clear()
+    yield
+    build_ext_field.cache_clear()
+
+
+def _tables_of(F):
+    return F.modulus, F.alpha, F.exp_table, F.log_table, F.trace_table().tolist()
+
+
+@pytest.mark.parametrize("q,k", REFERENCE_FIELDS, ids=[f"{q}^{k}" for q, k in REFERENCE_FIELDS])
+def test_tables_match_per_element_reference(cold_fields, q, k):
+    assert _tables_of(build_ext_field(q, k)) == reference_field(q, k)
+
+
+def test_cache_key_ignores_call_spelling(cold_fields):
+    a = build_ext_field(2, 4)
+    b = build_ext_field(2, 4, 1 << 22)
+    c = build_ext_field(q=2, k=4)
+    assert a is b is c
+    info = build_ext_field.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    with pytest.raises(TableCapExceeded):
+        build_ext_field(2, 4, table_cap=8)  # the cap holds for cached fields too
+
+
+def test_field_beyond_exact_float64_refused(monkeypatch):
+    # (q - 1)**2 >= 2**53; refused before any table is allocated
+    monkeypatch.setattr(field, "_build", lambda q, k: pytest.fail("tables were built"))
+    with pytest.raises(TableCapExceeded):
+        build_ext_field(94906297, 1, table_cap=1 << 40)
+
+
+def test_unbalanced_trace_raises(monkeypatch):
+    # the zero functional: every basis trace reads 0
+    F = build_ext_field(3, 4)
+    fresh = field.ExtField(F.q, F.k, F.modulus, F.alpha, F.exp_table, F.log_table)
+    monkeypatch.setattr(field.ExtField, "trace", lambda self, a: 0)
+    with pytest.raises(OrderMismatch, match="not balanced"):
+        fresh.trace_table()
+
+
+def test_non_primitive_alpha_raises(monkeypatch, cold_fields):
+    # x**3 has order 5 in GF(16)
+    monkeypatch.setattr(field, "_primitive_element", lambda modulus, x_powers, q: 8)
+    with pytest.raises(InvalidParameters, match="order below"):
+        build_ext_field(2, 4)
+
+
+def test_table_checks_hold_under_python_O():
+    script = "\n".join([
+        "from cycenum import build_ext_field, field",
+        "from cycenum.errors import InvalidParameters, OrderMismatch",
+        "F = build_ext_field(2, 4)",
+        "field._primitive_element = lambda modulus, x_powers, q: 8",
+        "build_ext_field.cache_clear()",
+        "try:",
+        "    build_ext_field(2, 4)",
+        "    raise SystemExit('a non-primitive alpha was accepted')",
+        "except InvalidParameters:",
+        "    pass",
+        "field.ExtField.trace = lambda self, a: 0",
+        "fresh = field.ExtField(F.q, F.k, F.modulus, F.alpha, F.exp_table, F.log_table)",
+        "try:",
+        "    fresh.trace_table()",
+        "    raise SystemExit('an unbalanced trace table was accepted')",
+        "except OrderMismatch:",
+        "    pass",
+    ])
+    env = {**os.environ, "PYTHONPATH": str(Path(cycenum.__file__).parents[1])}
+    run = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
