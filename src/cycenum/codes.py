@@ -264,6 +264,23 @@ class CodeSpec:
         return f"CodeSpec([{self.n},{self.k}] over GF({self.q}), N={self.N})"
 
 
+def _generator_trace_word(F: ExtField, h: list[int], N: int, n: int) -> list[int]:
+    """(x**n - 1)/h for h the minimal polynomial of beta = alpha**(-N).
+
+    Dividing x**m by a monic h of degree k puts at x**j the x**(k-1)
+    coefficient of x**(m-1-j) mod h, and Euler's dual-basis formula reads
+    that coefficient of x**i mod h as Tr(beta**i / h'(beta)). As beta**n
+    is 1, the quotient is the trace word g_j = Tr(tau * alpha**(N*j)) with
+    tau = 1/(beta * h'(beta)), read from the trace table in one gather.
+    """
+    q, beta = F.q, F.alpha_pow(-N)
+    acc = 0
+    for i in range(len(h) - 1, 0, -1):  # Horner for x * h'(x) at beta
+        acc = F.mul(F.add(acc, i * h[i] % q), beta)
+    steps = F.dlog(F.inv(acc)) + N * np.arange(n - len(h) + 2)
+    return F.trace_table()[steps % F.group_order].tolist()
+
+
 def irreducible_cyclic_code(q: int, k: int, N: int,
                             table_cap: int = DEFAULT_TABLE_CAP) -> CodeSpec:
     """Build the [n, k] irreducible cyclic code with n = (q**k - 1)/N.
@@ -294,8 +311,8 @@ def irreducible_cyclic_code(q: int, k: int, N: int,
     if not poly.is_irreducible(h, q):
         raise NoDegreeKFactor("check polynomial is reducible")
 
-    g, rem = poly.poly_divmod(poly.x_pow_n_minus_1(n, q), h, q)
-    if rem:
+    g = _generator_trace_word(F, h, N, n)
+    if not np.array_equal(np.convolve(h, g) % q, poly.x_pow_n_minus_1(n, q)):
         raise NoDegreeKFactor(f"check polynomial does not divide x^{n} - 1")
     return CodeSpec(q=q, k=k, n=n, N=N, field=F, generator=g, check=h)
 

@@ -16,8 +16,8 @@ acting on coefficient vectors, so:
   table are rows [0, B) times the matrix of alpha**B) up to one chunk of
   _CHUNK rows, and every later chunk is that first chunk times the matrix
   of alpha**start, so a full q**k x k digit matrix is never held;
-- the trace, a linear functional, is read from two small tables indexed
-  by the low and high digits of each packed value.
+- the trace, a linear functional, is the exp table's digit rows times
+  the vector of traces of the basis x**j, mod q, one chunk at a time.
 
 Every check raises rather than asserts, so it holds under python -O:
 alpha must reach every nonzero element exactly once and return to 1, and
@@ -180,22 +180,18 @@ class ExtField:
     def trace_table(self) -> np.ndarray:
         """Tr(alpha**m) for m in [0, q**k - 2] as an int64 array (cached).
 
-        Tr is GF(q)-linear: Tr(a) = digits(a) . t mod q with t_j = Tr(x**j).
-        Splitting a packed value v as lo + q**h * hi with h = k // 2, Tr(v)
-        is lo_table[lo] + hi_table[hi] mod q, two tables of q**h and
-        q**(k-h) entries read at the exp table chunk by chunk. A nonzero linear
+        Tr is GF(q)-linear: Tr(a) = digits(a) . t mod q with t_j = Tr(x**j),
+        applied to the exp table chunk by chunk. A nonzero linear
         functional takes each value of GF(q) exactly q**(k-1) times over
         the field; a table that does not raises OrderMismatch.
         """
         if self._trace_np is None:
             q, k = self.q, self.k
-            h = k // 2
-            t = [self.trace(q**j) for j in range(k)]
-            lo_table, hi_table = _functional_table(t[:h], q), _functional_table(t[h:], q)
+            t = np.array([self.trace(q**j) for j in range(k)], dtype=np.int64)
             table = np.empty(self.group_order, dtype=np.int64)
             for start in range(0, self.group_order, _CHUNK):
-                hi, lo = np.divmod(self.exp_table[start:start + _CHUNK], q**h)
-                table[start:start + _CHUNK] = (lo_table[lo] + hi_table[hi]) % q
+                table[start:start + _CHUNK] = (
+                    _digits(self.exp_table[start:start + _CHUNK], q, k) @ t % q)
             counts = np.bincount(table, minlength=q)
             counts[0] += 1  # the zero element
             if (counts != q ** (k - 1)).any():
@@ -208,14 +204,6 @@ class ExtField:
 
     def __repr__(self):
         return f"GF({self.q}^{self.k}, modulus={poly.to_string(list(self.modulus))})"
-
-
-def _functional_table(t: list[int], q: int) -> np.ndarray:
-    """sum_j digits(v)_j * t_j mod q for every packed v below q**len(t)."""
-    out = np.zeros(1, dtype=np.int64)
-    for tj in t:  # digit j is the slowest-varying index so far
-        out = (np.arange(q)[:, None] * tj + out).ravel() % q
-    return out
 
 
 def _digits(vals, q: int, k: int) -> np.ndarray:
@@ -291,9 +279,11 @@ def _tables(mul: np.ndarray, q: int, k: int) -> tuple[list[int], list]:
     digit table are rows [0, B) times the matrix of alpha**B. Every later
     chunk is the first chunk times the matrix of alpha**start, so one
     chunk of digits is held at a time, and log is filled as chunks arrive.
-    The two tables share one int object per value, which saves about 40%
-    of their memory. Raises InvalidParameters unless alpha**m hits every
-    nonzero element exactly once for m < q**k - 1 and alpha**(q**k - 1) == 1.
+    All products are int64 sums of at most k * (q-1)**2, so exact for any
+    field whose tables fit in memory. The two tables share one int object
+    per value, which saves about 40% of their memory. Raises
+    InvalidParameters unless alpha**m hits every nonzero element exactly
+    once for m < q**k - 1 and alpha**(q**k - 1) == 1.
     """
     group_order = q**k - 1
     qpow = q ** np.arange(k, dtype=np.int64)
@@ -305,20 +295,15 @@ def _tables(mul: np.ndarray, q: int, k: int) -> tuple[list[int], list]:
         block = np.concatenate([block, _digits(head, q, k) @ step % q @ qpow])
         step = step @ step % q
     # size is _CHUNK, a power of two, whenever a later chunk exists, so
-    # step is now the matrix of alpha**size. The later chunks work in
-    # float64, which takes the BLAS path and vectorises the reduction mod
-    # q; every value is an integer of at most k * (q-1)**2, which
-    # build_ext_field keeps below 2**53, so all of it is exact.
-    first = _digits(block, q, k).astype(np.float64)
-    qpow_f = qpow.astype(np.float64)
+    # step is now the matrix of alpha**size.
+    first = _digits(block, q, k)
     ints = np.arange(q**k, dtype=object)
     exp_table = ints[block].tolist()
     log = np.full(q**k, -1, dtype=np.int64)
     log[block] = np.arange(size)
     jump = step
     for start in range(size, group_order, size):
-        prod = first[:group_order - start] @ jump
-        block = ((prod - q * np.floor(prod / q)) @ qpow_f).astype(np.int64)
+        block = first[:group_order - start] @ jump % q @ qpow
         exp_table += ints[block].tolist()
         log[block] = np.arange(start, start + len(block))
         jump = jump @ step % q
@@ -345,8 +330,6 @@ def build_ext_field(q: int, k: int, table_cap: int = DEFAULT_TABLE_CAP) -> ExtFi
         raise ValueError("extension degree must be >= 1")
     if q**k > table_cap:
         raise TableCapExceeded(f"q^k = {q**k} exceeds table cap {table_cap}")
-    if k * (q - 1) ** 2 >= 1 << 53:  # the table build's float64 products must stay exact
-        raise TableCapExceeded(f"GF({q}^{k}) is too large to tabulate exactly")
     return _build(q, k)
 
 

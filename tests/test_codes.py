@@ -16,8 +16,10 @@ from cycenum import (
     irreducible_cyclic_code,
     minimal_polynomial,
 )
-from cycenum import poly
-from cycenum.errors import InvalidParameters, NotCoprime, OrderMismatch
+from cycenum import codes, poly
+from cycenum.cosets import multiplicative_order
+from cycenum.errors import InvalidParameters, NoDegreeKFactor, NotCoprime, OrderMismatch
+from cycenum.intmath import divisors
 from gf_utils import all_monic, enumerate_span, gf_rank
 
 
@@ -177,6 +179,35 @@ def test_check_divides_xn_minus_1():
         assert rem == []
         prod = poly.poly_mul(spec.generator, spec.check, q)
         assert prod == poly.x_pow_n_minus_1(spec.n, q)
+
+
+def _valid_codes(cap):
+    for q in (2, 3, 5, 7, 11, 13):
+        k = 1
+        while q**k <= cap:
+            for N in divisors(q**k - 1):
+                if multiplicative_order(q, (q**k - 1) // N) == k:
+                    yield q, k, N
+            k += 1
+
+
+def test_generator_is_the_long_division_quotient():
+    # the trace-word generator against schoolbook division, every valid
+    # code with q <= 13 and q**k <= 2**10
+    for q, k, N in _valid_codes(1 << 10):
+        spec = irreducible_cyclic_code(q, k, N)
+        quot, rem = poly.poly_divmod(poly.x_pow_n_minus_1(spec.n, q), spec.check, q)
+        assert rem == []
+        assert spec.generator == quot
+        assert all(type(c) is int for c in spec.generator)
+
+
+def test_wrong_generator_rejected(monkeypatch):
+    right = codes._generator_trace_word
+    monkeypatch.setattr(codes, "_generator_trace_word",
+                        lambda F, h, N, n: [1 - c for c in right(F, h, N, n)])
+    with pytest.raises(NoDegreeKFactor):
+        irreducible_cyclic_code(2, 4, 1)
 
 
 def test_generator_matrix_band_structure():

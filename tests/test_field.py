@@ -201,13 +201,6 @@ def test_cache_key_ignores_call_spelling(cold_fields):
         build_ext_field(2, 4, table_cap=8)  # the cap holds for cached fields too
 
 
-def test_field_beyond_exact_float64_refused(monkeypatch):
-    # (q - 1)**2 >= 2**53; refused before any table is allocated
-    monkeypatch.setattr(field, "_build", lambda q, k: pytest.fail("tables were built"))
-    with pytest.raises(TableCapExceeded):
-        build_ext_field(94906297, 1, table_cap=1 << 40)
-
-
 def test_unbalanced_trace_raises(monkeypatch):
     # the zero functional: every basis trace reads 0
     F = build_ext_field(3, 4)
