@@ -7,6 +7,7 @@ runs are byte-identical.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -157,16 +158,17 @@ def cmd_dual(args) -> int:
 def cmd_theta(args) -> int:
     spec = irreducible_cyclic_code(args.q, args.k, args.N, table_cap=args.table_cap)
     t = theta(spec)
+    bound = epsilon_bound(spec)
     payload = {
         "q": spec.q, "k": spec.k, "N": spec.N, "n": spec.n,
         "theta": t,
         "weight_divisor": spec.q ** (t - 1),
-        "epsilon_bound": epsilon_bound(spec),
+        "epsilon_bound": bound,
     }
     lines = [
         f"theta = {t}",
         f"all nonzero weights divisible by q^(theta-1) = {spec.q ** (t - 1)}",
-        f"epsilon bound = {epsilon_bound(spec)!r}",
+        f"epsilon bound = {bound!r}",
     ]
     _emit(args, payload, lines)
     return 0
@@ -225,7 +227,9 @@ def cmd_pipeline(args) -> int:
 # parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="cycenum",
         description="Weight enumerators of irreducible cyclic codes via "

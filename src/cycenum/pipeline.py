@@ -1,10 +1,12 @@
 """Classical simulation of the noisy-oracle weight-recovery pipeline.
 
-The exact Gauss-sum phases are perturbed by a seeded uniform error of
-magnitude below epsilon (standing in for the bounded-error quantum
-estimator), the weight formula is evaluated per coset leader, and each
+The exact Gauss-sum phases, computed once per code, are perturbed by a
+seeded uniform error of magnitude below epsilon (standing in for the
+bounded-error quantum estimator). The weight formula is the one routine
+of cycenum.weights, evaluated at every coset leader at once, and each
 noisy value is rounded to the nearest multiple of q**(theta-1), the
-divisibility step of every weight. Whenever epsilon stays below
+divisibility step of every weight. The reference spectrum comes from the
+same routine at the exact phases. Whenever epsilon stays below
 q**(theta-1) / (4*sqrt(q**k)) the rounded spectrum provably matches the
 noiseless one; the pipeline reports whether it did.
 """
@@ -15,11 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .characters import order_d_character_sums
 from .codes import CodeSpec, irreducible_cyclic_code
-from .cosets import coset_leaders, multiplicative_order
+from .cosets import multiplicative_order
 from .errors import InvalidParameters, MembershipFailed, NonIntegralTheta, RecoveryFailed
-from .weights import WeightSpectrum, weight_spectrum_mceliece
+from .weights import WeightSpectrum, _exact_spectrum, _formula_inputs, _s_values, _tally
 
 __all__ = [
     "IcqParams",
@@ -231,61 +232,34 @@ class PipelineReport:
 
 
 class _PipelineContext:
-    """Per-code state shared across trials: code, exact phases, reference."""
+    """Per-code state shared across trials: code, cosets, character
+    matrix, exact phases and the reference spectrum they give."""
 
     def __init__(self, q: int, k: int, N: int):
         self.spec = irreducible_cyclic_code(q, k, N)
-        partition = coset_leaders(N, q)
-        self.leaders = [c.leader for c in partition.cosets]
-        self.sizes = [c.size for c in partition.cosets]
-        self.gauss = order_d_character_sums(self.spec)
-        self.d = len(self.gauss) + 1
-        self.gammas = np.array([g.gamma for g in self.gauss])
+        self.cosets, self.chi, self.gammas = _formula_inputs(self.spec)
+        self.d = len(self.gammas) + 1
         self.theta = theta(self.spec)
         self.divisor = q ** (self.theta - 1)
         self.bound = epsilon_bound(self.spec)
-        self.base = self.spec.field.order * (q - 1) / (q * N)
-        self.coef = (q - 1) / (q * N)
-        self.mag = math.sqrt(self.spec.field.order)
-        if self.d > 1:
-            b = np.array(self.leaders).reshape(-1, 1)
-            a = np.arange(1, self.d).reshape(1, -1)
-            self.chi = np.exp(-2j * np.pi * ((b * a) % self.d) / self.d)
-        else:
-            self.chi = None
-        self.reference = weight_spectrum_mceliece(self.spec)
+        self.reference = _exact_spectrum(self.spec, self.cosets, self.chi, self.gammas)
 
     def run_seed(self, epsilon: float, seed: int) -> PipelineReport:
         spec = self.spec
-        injected: list[float] = []
-        if self.d > 1:
-            noisy = np.empty(self.d - 1)
-            for a in range(1, self.d):
-                g = noisy_gauss_oracle(float(self.gammas[a - 1]), epsilon,
-                                       seed * 100003 + a)
-                noisy[a - 1] = g
-                injected.append(g - float(self.gammas[a - 1]))
-            phases = self.mag * np.exp(1j * noisy)
-            svals = (self.base - self.coef * (self.chi @ phases)).real
-        else:
-            svals = np.full(len(self.leaders), self.base)
-        tallies: dict[int, int] = {}
-        for s, size in zip(svals, self.sizes):
-            w = round(float(s) / self.divisor) * self.divisor
-            tallies[w] = tallies.get(w, 0) + size
-        counts = {w: spec.n * a for w, a in tallies.items()}
-        counts[0] = counts.get(0, 0) + 1
-        recovered = WeightSpectrum(counts, spec.n)
-        exact = recovered.counts == self.reference.counts
+        noisy = np.array([noisy_gauss_oracle(g, epsilon, seed * 100003 + a)
+                          for a, g in enumerate(self.gammas.tolist(), start=1)])
+        svals = _s_values(spec, self.chi, noisy).real
+        weights = [int(w) * self.divisor for w in np.rint(svals / self.divisor)]
+        recovered = _tally(spec, weights, self.cosets)
         return PipelineReport(
             q=spec.q, k=spec.k, N=spec.N, n=spec.n,
             epsilon=epsilon, seed=seed,
             theta=self.theta, epsilon_bound=self.bound,
-            d=self.d, num_cosets=len(self.leaders),
+            d=self.d, num_cosets=len(self.cosets),
             oracle_calls=self.d - 1,
-            injected_errors=injected,
+            injected_errors=(noisy - self.gammas).tolist(),
             recovered_spectrum=recovered,
-            exact=exact,
+            exact=recovered.counts == self.reference.counts,
         )
 
 
@@ -300,10 +274,7 @@ def run_pipeline(q: int, k: int, N: int, epsilon: float, seed: int,
     force is not set; with strict=True a non-exact recovery raises
     RecoveryFailed instead of just being reported.
     """
-    membership = icq_membership(IcqParams.from_code_params(q, k, N, epsilon))
-    if not membership.member and not force:
-        raise MembershipFailed(", ".join(membership.failures))
-    report = _PipelineContext(q, k, N).run_seed(epsilon, seed)
+    report = run_pipeline_trials(q, k, N, epsilon, [seed], force)[0]
     if strict and not report.exact:
         raise RecoveryFailed(
             f"recovered spectrum differs from reference (seed {seed})")

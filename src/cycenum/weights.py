@@ -1,18 +1,19 @@
 """Weight spectra of irreducible cyclic codes.
 
-weight_spectrum_mceliece evaluates the Gauss-sum weight formula once per
-q-cyclotomic coset leader of {0, ..., N-1} and multiplies the tally by n
-for cyclic shifts. weight_spectrum_bruteforce is the independent oracle
-the formula is tested against: it reads every trace letter from the field
-tables, as the weight of column r of Tr(alpha**m) reshaped to n x N is
-the weight of the word of alpha**r and of its n cyclic shifts, so the
-whole spectrum costs O(q**k). The MacWilliams transform is carried out in
+One routine, _s_values, evaluates the Gauss-sum weight formula S(b) at
+every q-cyclotomic coset leader b of {0, ..., N-1} in one matrix product;
+_tally turns one weight per leader into a spectrum. weight_spectrum_mceliece
+and the noisy recovery pipeline both go through them, with the Gauss sums
+computed once per code. weight_spectrum_bruteforce is the independent
+oracle the formula is tested against: it reads every trace letter from
+the field tables, as the weight of column r of Tr(alpha**m) reshaped to
+n x N is the weight of the word of alpha**r and of its n cyclic shifts,
+so the whole spectrum costs O(q**k). The MacWilliams transform is carried out in
 exact integer arithmetic: a sparse expansion with one convolution per
 distinct weight when the input has few weights, otherwise a dense pass of
 two Horner Taylor shifts that costs O(n**2) whatever the input.
 """
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -78,49 +79,77 @@ class WeightEnumerator:
         return sum(a * x ** (n - i) * y**i for i, a in self.spectrum.counts.items())
 
 
-def s_function(iota: int, gauss: list[GaussSumValue], spec: CodeSpec) -> float:
-    """Weight of the word indexed by alpha**iota, from the Gauss-sum phases.
+def _characters(leaders, d: int) -> np.ndarray:
+    """chibar(alpha^b)^(-a), one row per leader b and a column per a < d."""
+    b = np.asarray(leaders).reshape(-1, 1)
+    return np.exp(-2j * np.pi * ((b * np.arange(1, d)) % d) / d)
 
-    S(iota) = q^k(q-1)/(qN) - (q-1)/(qN) * sum over a of
-    chibar(alpha^iota)^(-a) * sqrt(q^k) * exp(i*gamma_a); the magnitude is
-    kept at the exact sqrt(q^k) and only the phases enter.
+
+def _s_values(spec: CodeSpec, chi: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    """S(b) for every row b of chi at the phases gamma, as complex values.
+
+    S(b) = q^k(q-1)/(qN) - (q-1)/(qN) * sum over a of
+    chibar(alpha^b)^(-a) * sqrt(q^k) * exp(i*gamma_a); the magnitude is
+    kept at the exact sqrt(q^k) and only the phases enter. For d = 1 the
+    sum is empty.
     """
-    q, N = spec.q, spec.N
-    d = len(gauss) + 1
-    base = spec.field.order * (q - 1) / (q * N)
-    if d == 1:
-        return base
-    mag = math.sqrt(spec.field.order)
+    q, N, order = spec.q, spec.N, spec.field.order
+    base = order * (q - 1) / (q * N)
     coef = (q - 1) / (q * N)
-    acc = 0j
-    for a, g in enumerate(gauss, start=1):
-        chi = cmath.exp(-2j * math.pi * ((iota * a) % d) / d)
-        acc += chi * cmath.exp(1j * g.gamma)
-    value = base - coef * mag * acc
-    if abs(value.imag) > IMAG_TOL:
-        raise NonRealResult(
-            f"imaginary residue {value.imag:.3e} exceeds {IMAG_TOL}")
-    return value.real
+    return base - coef * (chi @ (math.sqrt(order) * np.exp(1j * gamma)))
+
+
+def _real(values: np.ndarray) -> np.ndarray:
+    worst = float(np.abs(values.imag).max(initial=0.0))
+    if worst > IMAG_TOL:
+        raise NonRealResult(f"imaginary residue {worst:.3e} exceeds {IMAG_TOL}")
+    return values.real
+
+
+def _tally(spec: CodeSpec, weights, cosets) -> WeightSpectrum:
+    """Spectrum from one weight per coset leader: coset sizes are the
+    multiplicities, each word has n cyclic shifts, and A_0 = 1."""
+    tallies: dict[int, int] = {}
+    for w, coset in zip(weights, cosets):
+        tallies[w] = tallies.get(w, 0) + coset.size
+    counts = {w: spec.n * a for w, a in tallies.items()}
+    counts[0] = counts.get(0, 0) + 1
+    return WeightSpectrum(counts, spec.n)
+
+
+def s_function(iota: int, gauss: list[GaussSumValue], spec: CodeSpec) -> float:
+    """Weight of the word indexed by alpha**iota, from the Gauss-sum phases."""
+    d = len(gauss) + 1
+    gamma = np.array([g.gamma for g in gauss])
+    return float(_real(_s_values(spec, _characters([iota % d], d), gamma))[0])
+
+
+def _formula_inputs(spec: CodeSpec):
+    """Coset leaders, their character matrix and the exact phases."""
+    gamma = np.array([g.gamma for g in order_d_character_sums(spec)])
+    cosets = coset_leaders(spec.N, spec.q).cosets
+    return cosets, _characters([c.leader for c in cosets], len(gamma) + 1), gamma
+
+
+def _exact_spectrum(spec: CodeSpec, cosets, chi, gamma) -> WeightSpectrum:
+    values = _real(_s_values(spec, chi, gamma))
+    weights = np.rint(values)
+    residue = np.abs(values - weights)
+    if residue.max(initial=0.0) > WEIGHT_INT_TOL:
+        i = int(residue.argmax())
+        raise NonIntegerWeight(
+            f"S({cosets[i].leader}) = {float(values[i])!r} is not near an integer")
+    return _validated(_tally(spec, weights.astype(int).tolist(), cosets), spec)
 
 
 def weight_spectrum_mceliece(spec: CodeSpec) -> WeightSpectrum:
     """Weight spectrum via the Gauss-sum formula with coset deduplication.
 
-    Evaluates S once per coset leader b_i, rounds to the nearest integer
-    (the residue must stay below 1e-6), tallies with coset sizes as
-    multiplicities, scales by n for cyclic shifts, and inserts A_0 = 1.
+    Evaluates S at all coset leaders b_i at once, rounds to the nearest
+    integer (the residue must stay below 1e-6), tallies with coset sizes
+    as multiplicities, scales by n for cyclic shifts, and inserts A_0 = 1.
     """
-    gauss = order_d_character_sums(spec)
-    tallies: dict[int, int] = {}
-    for leader, size in _leader_sizes(spec):
-        omega = s_function(leader, gauss, spec)
-        w = round(omega)
-        if abs(omega - w) > WEIGHT_INT_TOL:
-            raise NonIntegerWeight(f"S({leader}) = {omega!r} is not near an integer")
-        tallies[w] = tallies.get(w, 0) + size
-    counts = {w: spec.n * a for w, a in tallies.items()}
-    counts[0] = counts.get(0, 0) + 1
-    return _validated(WeightSpectrum(counts, spec.n), spec)
+    return _exact_spectrum(spec, *_formula_inputs(spec))
 
 
 def _validated(spectrum: WeightSpectrum, spec: CodeSpec) -> WeightSpectrum:
@@ -130,11 +159,6 @@ def _validated(spectrum: WeightSpectrum, spec: CodeSpec) -> WeightSpectrum:
     if any(w < 0 or w > spec.n for w in spectrum.counts):
         raise SpectrumMismatch(f"weight outside [0, {spec.n}]")
     return spectrum
-
-
-def _leader_sizes(spec: CodeSpec):
-    for coset in coset_leaders(spec.N, spec.q).cosets:
-        yield coset.leader, coset.size
 
 
 def weight_spectrum_bruteforce(spec: CodeSpec) -> WeightSpectrum:

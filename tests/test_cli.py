@@ -208,3 +208,22 @@ def test_weights_at_2_pow_20_formula_equals_oracle():
     assert payload["method"] == "both"
     assert payload["n"] == (2**20 - 1) // 3
     assert sum(payload["spectrum"].values()) == 2**20
+
+
+def test_parser_reused_after_usage_error(capsys):
+    # one parser serves every call in a process; a usage error must not
+    # leave state behind that changes the output of the calls after it
+    from cycenum.cli import build_parser
+
+    assert build_parser() is build_parser()
+    with pytest.raises(SystemExit) as exc:
+        main(["weights", "2", "4", "3", "--method", "bogus"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    env = {**os.environ, "PYTHONPATH": str(Path(cycenum.__file__).parents[1])}
+    for argv in (["weights", "2", "4", "3", "--json"], ["factor", "15", "2"],
+                 ["weights", "3", "2", "2", "--method", "both"]):
+        code, out, err = run_cli(capsys, *argv)
+        fresh = subprocess.run([sys.executable, "-m", "cycenum", *argv],
+                               env=env, capture_output=True, text=True)
+        assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv

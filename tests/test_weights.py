@@ -14,7 +14,7 @@ from cycenum import (
     weight_spectrum_bruteforce,
     weight_spectrum_mceliece,
 )
-from cycenum.errors import NonIntegerDualCoefficient
+from cycenum.errors import NonIntegerDualCoefficient, NonIntegerWeight, NonRealResult
 from cycenum.weights import _dual_dense, _dual_sparse
 from gf_utils import enumerate_span, gf_nullspace, spectrum_from_words
 
@@ -66,6 +66,30 @@ def test_s_function_invariant_on_every_coset(q, k, N):
     for coset in cosets_full(N, q).cosets:
         vals = [s_function(eta, gauss, spec) for eta in coset.members]
         assert max(vals) - min(vals) < 1e-9, (q, k, N, coset.leader)
+
+
+def _shift_formula(monkeypatch, delta):
+    from cycenum import weights
+
+    s_values = weights._s_values
+    monkeypatch.setattr(weights, "_s_values",
+                        lambda spec, chi, gamma: s_values(spec, chi, gamma) + delta)
+
+
+def test_imaginary_residue_raises(monkeypatch):
+    spec = irreducible_cyclic_code(2, 4, 3)
+    gauss = order_d_character_sums(spec)
+    _shift_formula(monkeypatch, 1e-3j)
+    with pytest.raises(NonRealResult):
+        weight_spectrum_mceliece(spec)
+    with pytest.raises(NonRealResult):
+        s_function(1, gauss, spec)
+
+
+def test_non_integer_weight_raises(monkeypatch):
+    _shift_formula(monkeypatch, 0.25)
+    with pytest.raises(NonIntegerWeight):
+        weight_spectrum_mceliece(irreducible_cyclic_code(2, 4, 3))
 
 
 # ---------------------------------------------------------------------------
