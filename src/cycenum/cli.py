@@ -16,7 +16,7 @@ from .codes import factor_xn_minus_1, generator_matrix, irreducible_cyclic_code
 from .cosets import coset_leaders, cosets_full
 from .characters import gauss_sum
 from .errors import CycenumError, SpectrumMismatch
-from .field import DEFAULT_TABLE_CAP, build_ext_field
+from .field import build_ext_field
 from .pipeline import (
     IcqParams,
     epsilon_bound,
@@ -77,7 +77,7 @@ def cmd_factor(args) -> int:
 
 
 def cmd_code(args) -> int:
-    spec = irreducible_cyclic_code(args.q, args.k, args.N, table_cap=args.table_cap)
+    spec = irreducible_cyclic_code(args.q, args.k, args.N)
     payload = spec.to_dict()
     lines = [
         f"[{spec.n},{spec.k}] irreducible cyclic code over GF({spec.q}), N={spec.N}",
@@ -94,7 +94,7 @@ def cmd_code(args) -> int:
 
 
 def cmd_gauss(args) -> int:
-    F = build_ext_field(args.q, args.k, table_cap=args.table_cap)
+    F = build_ext_field(args.q, args.k)
     beta = F.alpha_pow(args.beta)
     g = gauss_sum(args.j, beta, F)
     payload = {"q": args.q, "k": args.k, "j": args.j, "beta_exp": args.beta,
@@ -110,7 +110,7 @@ def cmd_gauss(args) -> int:
 
 
 def _spectra_for(args):
-    spec = irreducible_cyclic_code(args.q, args.k, args.N, table_cap=args.table_cap)
+    spec = irreducible_cyclic_code(args.q, args.k, args.N)
     method = args.method
     if method == "mceliece":
         return spec, weight_spectrum_mceliece(spec), method
@@ -156,7 +156,7 @@ def cmd_dual(args) -> int:
 
 
 def cmd_theta(args) -> int:
-    spec = irreducible_cyclic_code(args.q, args.k, args.N, table_cap=args.table_cap)
+    spec = irreducible_cyclic_code(args.q, args.k, args.N)
     t = theta(spec)
     bound = epsilon_bound(spec)
     payload = {
@@ -241,10 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_json(p):
         p.add_argument("--json", action="store_true", help="emit JSON")
 
-    def add_caps(p):
-        p.add_argument("--table-cap", type=int, default=DEFAULT_TABLE_CAP,
-                       help="max q^k for log/antilog tables")
-
     p = sub.add_parser("cosets", help="p-cyclotomic cosets of {0..N-1}")
     p.add_argument("N", type=int)
     p.add_argument("p", type=int)
@@ -264,7 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("k", type=int)
     p.add_argument("N", type=int)
     p.add_argument("--matrix", action="store_true", help="print generator matrix")
-    add_caps(p)
     add_json(p)
     p.set_defaults(func=cmd_code)
 
@@ -274,7 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("j", type=int)
     p.add_argument("--beta", type=int, default=0, metavar="M",
                    help="beta = alpha^M (default 0, i.e. beta = 1)")
-    add_caps(p)
     add_json(p)
     p.set_defaults(func=cmd_gauss)
 
@@ -285,7 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("N", type=int)
         p.add_argument("--method", choices=("mceliece", "brute", "both"),
                        default="mceliece")
-        add_caps(p)
         add_json(p)
         p.set_defaults(func=handler)
 
@@ -293,7 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("q", type=int)
     p.add_argument("k", type=int)
     p.add_argument("N", type=int)
-    add_caps(p)
     add_json(p)
     p.set_defaults(func=cmd_theta)
 

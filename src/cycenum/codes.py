@@ -16,9 +16,10 @@ from math import gcd
 import numpy as np
 
 from . import poly
-from .cosets import CosetPartition, cosets_full, coset_count_formula, multiplicative_order
+from .cosets import (CosetPartition, _orbit, cosets_full, coset_count_formula,
+                     multiplicative_order)
 from .errors import InvalidParameters, NoDegreeKFactor, OrderMismatch, SpectrumMismatch
-from .field import DEFAULT_TABLE_CAP, ExtField, build_ext_field
+from .field import ExtField, build_ext_field
 from .intmath import check_prime, euler_phi, factorize
 
 __all__ = [
@@ -33,16 +34,6 @@ __all__ = [
 
 # ---------------------------------------------------------------------------
 # Frobenius orbits and minimal polynomials over a table-backed field
-
-
-def _orbit(e: int, q: int, m: int) -> list[int]:
-    """The Frobenius orbit e, eq, eq^2, ... mod m, for q coprime to m."""
-    orbit = [e % m]
-    a = orbit[0] * q % m
-    while a != orbit[0]:
-        orbit.append(a)
-        a = a * q % m
-    return orbit
 
 
 def _orbit_product(F: ExtField, exponents: list[int]) -> list[int]:
@@ -108,19 +99,6 @@ class _SplittingField:
         self.one = np.zeros(k, dtype=np.int64)
         self.one[0] = 1
 
-    def mul(self, a, b):
-        return self.ctx.mul(a, b)
-
-    def pow(self, a, e: int):
-        result = self.one.copy()
-        acc = a
-        while e:
-            if e & 1:
-                result = self.mul(result, acc)
-            acc = self.mul(acc, acc)
-            e >>= 1
-        return result
-
     def element_of_order(self, f: int):
         """Deterministic element of exact multiplicative order f."""
         q, k = self.q, self.k
@@ -132,10 +110,10 @@ class _SplittingField:
             for i in range(k):
                 cand[i] = t % q
                 t //= q
-            eta = self.pow(cand, cofactor)
+            eta = self.ctx.pow(cand, cofactor)
             if np.array_equal(eta, self.one):
                 continue
-            if all(not np.array_equal(self.pow(eta, f // p), self.one) for p in primes):
+            if all(not np.array_equal(self.ctx.pow(eta, f // p), self.one) for p in primes):
                 return eta
         raise OrderMismatch(f"no element of order {f} in GF({q}^{k})")
 
@@ -184,12 +162,12 @@ def _factor_cyclotomic(f: int, q: int) -> dict[int, tuple[int, ...]]:
         seen.update(orbit)
         prod = [sf.one]
         for e in orbit:
-            root = sf.pow(beta, e)
+            root = sf.ctx.pow(beta, e)
             nroot = (-root) % q
             nxt = [np.zeros(k, dtype=np.int64) for _ in range(len(prod) + 1)]
             for i, c in enumerate(prod):
                 nxt[i + 1] = (nxt[i + 1] + c) % q
-                nxt[i] = (nxt[i] + sf.mul(nroot, c)) % q
+                nxt[i] = (nxt[i] + sf.ctx.mul(nroot, c)) % q
             prod = nxt
         coeffs = []
         for c in prod:
@@ -281,8 +259,7 @@ def _generator_trace_word(F: ExtField, h: list[int], N: int, n: int) -> list[int
     return F.trace_table()[steps % F.group_order].tolist()
 
 
-def irreducible_cyclic_code(q: int, k: int, N: int,
-                            table_cap: int = DEFAULT_TABLE_CAP) -> CodeSpec:
+def irreducible_cyclic_code(q: int, k: int, N: int) -> CodeSpec:
     """Build the [n, k] irreducible cyclic code with n = (q**k - 1)/N.
 
     The check polynomial is the minimal polynomial of alpha**(-N), which
@@ -300,7 +277,7 @@ def irreducible_cyclic_code(q: int, k: int, N: int,
         raise InvalidParameters(
             f"ord_{n}({q}) = {multiplicative_order(q, n)} != k = {k}")
 
-    F = build_ext_field(q, k, table_cap)
+    F = build_ext_field(q, k)
 
     # Frobenius orbit of alpha**(-N); its size is ord_n(q) = k
     orbit = _orbit(-N, q, total)

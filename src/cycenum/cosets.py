@@ -3,7 +3,8 @@
 The enumeration is a sieve: one mark bit per element, each orbit walked
 exactly once, so the whole partition costs O(N) time and N bits of
 storage. iter_coset_leaders streams (leader, size) pairs and never
-materializes member lists, which keeps very large N feasible.
+materializes member lists, which keeps very large N feasible;
+cosets_full walks each leader's orbit once more to list its members.
 """
 
 from dataclasses import dataclass
@@ -98,22 +99,21 @@ def coset_leaders(N: int, p: int) -> CosetPartition:
     return CosetPartition(N, p, cosets)
 
 
+def _orbit(e: int, q: int, m: int) -> list[int]:
+    """The Frobenius orbit e, eq, eq^2, ... mod m, for q coprime to m."""
+    orbit = [e % m]
+    a = orbit[0] * q % m
+    while a != orbit[0]:
+        orbit.append(a)
+        a = a * q % m
+    return orbit
+
+
 def cosets_full(N: int, p: int) -> CosetPartition:
     """Partition with members materialized in orbit order (a, ap, ap^2, ...)."""
-    _validate(N, p)
-    marks = bytearray((N + 7) >> 3)
-    cosets = []
-    for i in range(N):
-        if marks[i >> 3] & (1 << (i & 7)):
-            continue
-        a = i
-        orbit = []
-        while not marks[a >> 3] & (1 << (a & 7)):
-            marks[a >> 3] |= 1 << (a & 7)
-            orbit.append(a)
-            a = a * p % N
-        cosets.append(Coset(i, len(orbit), tuple(orbit)))
-    return CosetPartition(N, p, tuple(cosets))
+    cosets = tuple(Coset(leader, size, tuple(_orbit(leader, p, N)))
+                   for leader, size in iter_coset_leaders(N, p))
+    return CosetPartition(N, p, cosets)
 
 
 def multiplicative_order(q: int, f: int) -> int:

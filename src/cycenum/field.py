@@ -316,7 +316,7 @@ def _tables(mul: np.ndarray, q: int, k: int) -> tuple[list[int], list]:
     return exp_table, log_table
 
 
-def build_ext_field(q: int, k: int, table_cap: int = DEFAULT_TABLE_CAP) -> ExtField:
+def build_ext_field(q: int, k: int) -> ExtField:
     """Construct GF(q**k) with a verified modulus and primitive element.
 
     Deterministic: the modulus is the first irreducible in the packed-value
@@ -328,8 +328,8 @@ def build_ext_field(q: int, k: int, table_cap: int = DEFAULT_TABLE_CAP) -> ExtFi
     check_prime(q)
     if k < 1:
         raise ValueError("extension degree must be >= 1")
-    if q**k > table_cap:
-        raise TableCapExceeded(f"q^k = {q**k} exceeds table cap {table_cap}")
+    if q**k > DEFAULT_TABLE_CAP:
+        raise TableCapExceeded(f"q^k = {q**k} exceeds table cap {DEFAULT_TABLE_CAP}")
     return _build(q, k)
 
 

@@ -132,24 +132,23 @@ class ModMulContext:
         head[: k] = c[:k]
         return (head + c[k:] @ self._rows[: len(c) - k]) % q
 
-    def pow_x(self, e: int) -> np.ndarray:
-        """x**e mod modulus for a (possibly huge) exponent e >= 0."""
-        k = self.k
-        result = np.zeros(k, dtype=np.int64)
+    def pow(self, a: np.ndarray, e: int) -> np.ndarray:
+        """a**e mod modulus by square-and-multiply, for e >= 0."""
+        result = np.zeros(self.k, dtype=np.int64)
         result[0] = 1
-        if k == 1:
-            # x reduces to a scalar; fall back to plain modular power
-            base = (-self.modulus[0]) % self.q
-            result[0] = pow(base, e, self.q)
-            return result
-        acc = np.zeros(k, dtype=np.int64)
-        acc[1] = 1
         while e:
             if e & 1:
-                result = self.mul(result, acc)
-            acc = self.mul(acc, acc)
+                result = self.mul(result, a)
+            a = self.mul(a, a)
             e >>= 1
         return result
+
+    def pow_x(self, e: int) -> np.ndarray:
+        """x**e mod modulus for a (possibly huge) exponent e >= 0."""
+        x = np.zeros(self.k, dtype=np.int64)
+        r = poly_mod([0, 1], self.modulus, self.q)
+        x[: len(r)] = r
+        return self.pow(x, e)
 
 
 def is_irreducible(p: list[int], q: int) -> bool:

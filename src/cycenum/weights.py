@@ -8,10 +8,15 @@ computed once per code. weight_spectrum_bruteforce is the independent
 oracle the formula is tested against: it reads every trace letter from
 the field tables, as the weight of column r of Tr(alpha**m) reshaped to
 n x N is the weight of the word of alpha**r and of its n cyclic shifts,
-so the whole spectrum costs O(q**k). The MacWilliams transform is carried out in
-exact integer arithmetic: a sparse expansion with one convolution per
-distinct weight when the input has few weights, otherwise a dense pass of
-two Horner Taylor shifts that costs O(n**2) whatever the input.
+so the whole spectrum costs O(q**k).
+
+The MacWilliams transform is exact integer arithmetic on one of two
+paths, chosen from the input. With m distinct weights and 4m <= n it runs
+the Krawtchouk three-term recurrence, O(n) big-by-small steps per weight;
+denser input takes two Horner Taylor shifts, O(n**2) whatever the input.
+The rule is the measured crossover: with counts of n*log2(q) bits,
+q in {2, 3, 5, 13} and 366 <= n <= 1023, the recurrence took 0.9-1.1x
+the time of the shifts at m = n/4 and 1.2-1.6x at m = n/3.
 """
 
 import math
@@ -181,33 +186,26 @@ def weight_spectrum_bruteforce(spec: CodeSpec) -> WeightSpectrum:
 # MacWilliams transform, exact integer arithmetic
 
 
-def _binomial_row(m: int) -> list[int]:
-    row = [1]
-    for j in range(m):
-        row.append(row[-1] * (m - j) // (j + 1))
-    return row
+def _dual_krawtchouk(counts: dict[int, int], n: int, q: int) -> list[int]:
+    """Coefficients by y-degree j of sum A_i (x+(q-1)y)^(n-i) (x-y)^i.
 
-
-def _dual_sparse(counts: dict[int, int], n: int, q: int) -> list[int]:
-    """Coefficients by y-degree of sum A_i (x+(q-1)y)^(n-i) (x-y)^i.
-
-    Cost is one convolution per distinct weight, so spectra with few
-    weights (the irreducible-cyclic case, at most N+1) stay cheap even
-    for long codes.
+    The coefficient of y^j in one term is A_i K_j(i), a Krawtchouk
+    polynomial, carried for each distinct weight i by the three-term
+    recurrence (j+1) K_(j+1)(i) = ((q-1)(n-j) + j - q i) K_j(i)
+    - (q-1)(n-j+1) K_(j-1)(i), whose division is exact. Cost is O(n)
+    big-by-small steps per distinct weight, so spectra with few weights
+    (the irreducible-cyclic case, at most N+1) stay cheap for long codes.
     """
-    acc = [0] * (n + 1)
-    for i, a_i in counts.items():
-        u = _binomial_row(n - i)
-        u = [c * (q - 1) ** t for t, c in enumerate(u)]
-        v = _binomial_row(i)
-        v = [c if t % 2 == 0 else -c for t, c in enumerate(v)]
-        for t1, cu in enumerate(u):
-            if cu == 0:
-                continue
-            base = a_i * cu
-            for t2, cv in enumerate(v):
-                acc[t1 + t2] += base * cv
-    return acc
+    weights = list(counts)
+    prev = [0] * len(weights)
+    cur = [counts[i] for i in weights]
+    out = [sum(cur)]
+    for j in range(n):
+        a, b = (q - 1) * (n - j) + j, (q - 1) * (n - j + 1)
+        prev, cur = cur, [((a - q * i) * t - b * s) // (j + 1)
+                          for i, t, s in zip(weights, cur, prev)]
+        out.append(sum(cur))
+    return out
 
 
 def _taylor_shift(a: list[int], c: int) -> None:
@@ -241,14 +239,18 @@ def macwilliams_dual(w: WeightEnumerator, q: int, k: int, n: int) -> WeightEnume
     This is the standard identity over GF(q); applying it twice returns
     the original enumerator. All dual coefficients must come out as
     non-negative integers summing to q^(n-k); anything else raises
-    NonIntegerDualCoefficient.
+    NonIntegerDualCoefficient, as does an input weight outside [0, n] or
+    a negative input count.
     """
     if w.n != n:
         raise NonIntegerDualCoefficient(f"enumerator length {w.n} != n = {n}")
     counts = w.spectrum.counts
-    cost_sparse = sum((i + 1) * (n - i + 1) for i in counts)
-    if cost_sparse <= 2 * n * n:
-        acc = _dual_sparse(counts, n, q)
+    for i, a_i in counts.items():
+        if not 0 <= i <= n or a_i < 0:
+            raise NonIntegerDualCoefficient(
+                f"A_{i} = {a_i} is not a count of a weight in [0, {n}]")
+    if 4 * len(counts) <= n:
+        acc = _dual_krawtchouk(counts, n, q)
     else:
         acc = _dual_dense(counts, n, q)
     scale = q**k

@@ -1,6 +1,7 @@
 """Small GF(q) helpers used as independent test oracles."""
 
 import itertools
+import math
 
 from cycenum import poly
 from cycenum.field import ExtField
@@ -92,6 +93,19 @@ def spectrum_from_words(words):
         hw = sum(1 for v in w if v)
         counts[hw] = counts.get(hw, 0) + 1
     return counts
+
+
+def dual_by_expansion(counts, n, q):
+    """Coefficients by y-degree of sum A_i (x+(q-1)y)^(n-i) (x-y)^i,
+    by multiplying out both binomials for every weight."""
+    acc = [0] * (n + 1)
+    for i, a_i in counts.items():
+        u = [math.comb(n - i, t) * (q - 1) ** t for t in range(n - i + 1)]
+        v = [math.comb(i, t) * (-1) ** t for t in range(i + 1)]
+        for t1, cu in enumerate(u):
+            for t2, cv in enumerate(v):
+                acc[t1 + t2] += a_i * cu * cv
+    return acc
 
 
 # -- per-element field builder, the reference for cycenum.field ----------

@@ -48,6 +48,9 @@ def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["weights", "2", "4", "3", "--method", "bogus"])
     assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["weights", "2", "4", "3", "--table-cap", "1"])  # no such flag
+    assert exc.value.code == 2
 
 
 def test_cosets_json_roundtrip(capsys):

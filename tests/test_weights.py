@@ -15,8 +15,8 @@ from cycenum import (
     weight_spectrum_mceliece,
 )
 from cycenum.errors import NonIntegerDualCoefficient, NonIntegerWeight, NonRealResult
-from cycenum.weights import _dual_dense, _dual_sparse
-from gf_utils import enumerate_span, gf_nullspace, spectrum_from_words
+from cycenum.weights import _dual_dense, _dual_krawtchouk
+from gf_utils import dual_by_expansion, enumerate_span, gf_nullspace, spectrum_from_words
 
 
 def spectrum_by_scalar_enumeration(spec):
@@ -184,17 +184,20 @@ def test_dual_matches_bruteforce_and_involutes(q, k, N):
     assert back.spectrum.counts == w.spectrum.counts
 
 
-def test_sparse_and_dense_paths_agree():
-    # q = 2 alone would not tell the two Taylor shifts (by 1-q and -1) apart
+def test_krawtchouk_and_horner_paths_agree():
+    # q = 2 alone would not tell a wrong (q-1) factor, or the two Taylor
+    # shifts (by 1-q and -1), apart
     for q, k, N in ((2, 4, 1), (3, 4, 16), (3, 4, 5), (5, 2, 3), (5, 3, 4), (7, 2, 4)):
         spec = irreducible_cyclic_code(q, k, N)
         n = spec.n
         primal = weight_spectrum_mceliece(spec).counts
-        assert _dual_sparse(primal, n, q) == _dual_dense(primal, n, q), (q, k, N)
         dual = macwilliams_dual(
             WeightEnumerator(WeightSpectrum(primal, n)), q, k, n
         ).spectrum.counts
-        assert _dual_sparse(dual, n, q) == _dual_dense(dual, n, q), (q, k, N)
+        for counts in (primal, dual):
+            expected = dual_by_expansion(counts, n, q)
+            assert _dual_krawtchouk(counts, n, q) == expected, (q, k, N)
+            assert _dual_dense(counts, n, q) == expected, (q, k, N)
 
 
 def test_dual_rejects_garbage():
@@ -203,3 +206,9 @@ def test_dual_rejects_garbage():
         macwilliams_dual(junk, 2, 4, 15)
     with pytest.raises(NonIntegerDualCoefficient):
         macwilliams_dual(junk, 2, 4, 10)  # wrong length
+    # a weight outside [0, n] or a negative count, before either path runs
+    full = {w: math.comb(15, w) for w in range(16)}
+    for counts, k in (({0: 1, 20: 1}, 1), ({0: 1, -1: 1}, 1),
+                      ({0: 1, 1: -1, 2: 2}, 1), ({**full, 16: 5}, 15)):
+        with pytest.raises(NonIntegerDualCoefficient):
+            macwilliams_dual(WeightEnumerator(WeightSpectrum(counts, 15)), 2, k, 15)
