@@ -15,7 +15,7 @@ from . import __version__
 from .codes import factor_xn_minus_1, generator_matrix, irreducible_cyclic_code
 from .cosets import coset_leaders, cosets_full
 from .characters import gauss_sum
-from .errors import CycenumError, SpectrumMismatch
+from .errors import CycenumError, InvalidParameters, SpectrumMismatch
 from .field import build_ext_field
 from .pipeline import (
     IcqParams,
@@ -191,6 +191,8 @@ def cmd_icq_check(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
+    if args.trials < 1:
+        raise InvalidParameters(f"--trials {args.trials} must be >= 1")
     if args.trials > 1:
         seeds = range(args.seed, args.seed + args.trials)
         reports = run_pipeline_trials(args.q, args.k, args.N, args.epsilon,

@@ -3,10 +3,16 @@
 factor_xn_minus_1 works per divisor f of n: the primitive f-th roots of
 unity contribute phi(f)/ord_q(f) irreducible factors of degree ord_q(f).
 When that ratio is 1 the factor is the cyclotomic polynomial of order f
-reduced mod q and costs nothing; otherwise the factor products are taken
+reduced mod q and costs nothing; otherwise the factors are products
 over a small splitting field GF(q**ord_q(f)) held in polynomial form, so
-no log tables (and no table cap) are involved. minimal_polynomial keeps
-the direct table-backed route for fields small enough to build.
+no log tables (and no table cap) are involved.
+
+Every such product, and every minimal polynomial and check polynomial
+over a table-backed field, goes through one routine, _orbit_product: the
+product of (X - r) over a Frobenius orbit of roots r given as coefficient
+vectors, each step one multiply by the root's matrix from
+poly.ModMulContext. The splitting fields give the roots as powers of an
+element of order f; the table fields give the digits of alpha**e.
 """
 
 from dataclasses import dataclass
@@ -19,7 +25,7 @@ from . import poly
 from .cosets import (CosetPartition, _orbit, cosets_full, coset_count_formula,
                      multiplicative_order)
 from .errors import InvalidParameters, NoDegreeKFactor, OrderMismatch, SpectrumMismatch
-from .field import ExtField, build_ext_field
+from .field import ExtField, _check_field_params, _unpack, build_ext_field
 from .intmath import check_prime, euler_phi, factorize
 
 __all__ = [
@@ -33,26 +39,35 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# Frobenius orbits and minimal polynomials over a table-backed field
+# Frobenius-orbit products: minimal polynomials and the factors of x**n - 1
 
 
-def _orbit_product(F: ExtField, exponents: list[int]) -> list[int]:
-    """Coefficients of the product of (X - alpha**e) over the exponents.
+def _orbit_product(ctx: poly.ModMulContext, roots) -> list[int]:
+    """Coefficients of the product of (X - r) over the roots.
 
-    The exponents form a union of Frobenius orbits, so every coefficient
-    lies in the base field; one that does not raises OrderMismatch.
+    Each root is a coefficient vector modulo ctx.modulus. The running
+    product is one (deg+1) x k array of coefficient vectors; multiplying
+    it by X - r shifts it up a degree and subtracts it times the matrix
+    of r. One root's matrix is held at a time, so memory stays O(k**2)
+    for the splitting fields of large degree. The roots form a union of
+    Frobenius orbits, so every coefficient lies in the base field; one
+    that does not raises OrderMismatch.
     """
-    prod = [1]
-    for e in exponents:
-        nroot = F.neg(F.alpha_pow(e))
-        nxt = [0] * (len(prod) + 1)
-        for i, c in enumerate(prod):
-            nxt[i + 1] = F.add(nxt[i + 1], c)
-            nxt[i] = F.add(nxt[i], F.mul(nroot, c))
-        prod = nxt
-    if any(c >= F.q for c in prod):
+    prod = np.eye(1, ctx.k, dtype=np.int64)
+    for root in roots:
+        nxt = np.zeros((len(prod) + 1, ctx.k), dtype=np.int64)
+        nxt[1:] = prod
+        nxt[:-1] -= prod @ ctx.matrices(root)
+        prod = nxt % ctx.q
+    if prod[:, 1:].any():
         raise OrderMismatch("orbit product left the base field")
-    return prod
+    return prod[:, 0].tolist()
+
+
+@lru_cache(maxsize=64)
+def _context(modulus: tuple[int, ...], q: int) -> poly.ModMulContext:
+    """The multiply modulo a table field's modulus, built once per modulus."""
+    return poly.ModMulContext(list(modulus), q)
 
 
 def minimal_polynomial(s: int, partition: CosetPartition, F: ExtField) -> list[int]:
@@ -75,7 +90,8 @@ def minimal_polynomial(s: int, partition: CosetPartition, F: ExtField) -> list[i
         raise OrderMismatch(
             f"coset size {coset.size} does not divide extension degree {F.k}")
     step = F.group_order // N
-    coeffs = _orbit_product(F, [step * eta for eta in _orbit(s, F.q, N)])
+    coeffs = _orbit_product(_context(F.modulus, F.q), [
+        F.coeffs(F.alpha_pow(step * eta)) for eta in _orbit(s, F.q, N)])
     if coeffs[-1] != 1 or len(coeffs) - 1 != coset.size:
         raise InvalidParameters(f"minimal polynomial of degree {len(coeffs) - 1} "
                                 f"for a coset of size {coset.size}")
@@ -84,45 +100,26 @@ def minimal_polynomial(s: int, partition: CosetPartition, F: ExtField) -> list[i
     return coeffs
 
 
-# ---------------------------------------------------------------------------
-# table-free splitting fields for factor_xn_minus_1
-
-
-class _SplittingField:
-    """GF(q**k) as GF(q)[z]/(h) with numpy coefficient vectors, no tables."""
-
-    def __init__(self, q: int, k: int):
-        self.q = q
-        self.k = k
-        self.modulus = poly.find_irreducible(q, k)
-        self.ctx = poly.ModMulContext(self.modulus, q)
-        self.one = np.zeros(k, dtype=np.int64)
-        self.one[0] = 1
-
-    def element_of_order(self, f: int):
-        """Deterministic element of exact multiplicative order f."""
-        q, k = self.q, self.k
-        cofactor = (q**k - 1) // f
-        primes = list(factorize(f)) if f > 1 else []
-        for v in range(2, q**k):
-            cand = np.zeros(k, dtype=np.int64)
-            t = v
-            for i in range(k):
-                cand[i] = t % q
-                t //= q
-            eta = self.ctx.pow(cand, cofactor)
-            if np.array_equal(eta, self.one):
-                continue
-            if all(not np.array_equal(self.ctx.pow(eta, f // p), self.one) for p in primes):
-                return eta
-        raise OrderMismatch(f"no element of order {f} in GF({q}^{k})")
-
-
 @lru_cache(maxsize=64)
-def _splitting_field(q: int, k: int) -> _SplittingField:
-    """One splitting field per (q, k), shared by every cyclotomic order f
-    with ord_f(q) = k, so its modulus is searched for once."""
-    return _SplittingField(q, k)
+def _splitting_field(q: int, k: int) -> poly.ModMulContext:
+    """GF(q**k) as GF(q)[z]/(h), with no tables. One per (q, k), shared by
+    every cyclotomic order f with ord_f(q) = k, so h is searched for once."""
+    return poly.ModMulContext(poly.find_irreducible(q, k), q)
+
+
+def _element_of_order(ctx: poly.ModMulContext, f: int) -> np.ndarray:
+    """Deterministic element of exact multiplicative order f."""
+    q, k = ctx.q, ctx.k
+    one = np.eye(1, k, dtype=np.int64)[0]
+    cofactor = (q**k - 1) // f
+    primes = list(factorize(f)) if f > 1 else []
+    for v in range(2, q**k):
+        eta = ctx.pow(np.array(_unpack(v, q, k), dtype=np.int64), cofactor)
+        if np.array_equal(eta, one):
+            continue
+        if all(not np.array_equal(ctx.pow(eta, f // p), one) for p in primes):
+            return eta
+    raise OrderMismatch(f"no element of order {f} in GF({q}^{k})")
 
 
 @lru_cache(maxsize=None)
@@ -151,30 +148,10 @@ def _factor_cyclotomic(f: int, q: int) -> dict[int, tuple[int, ...]]:
     if phi == k:
         return {1: _cyclotomic_mod(f, q)}
 
-    sf = _splitting_field(q, k)
-    beta = sf.element_of_order(f)
-    factors: dict[int, tuple[int, ...]] = {}
-    seen = set()
-    for s in range(1, f):
-        if gcd(s, f) != 1 or s in seen:
-            continue
-        orbit = _orbit(s, q, f)
-        seen.update(orbit)
-        prod = [sf.one]
-        for e in orbit:
-            root = sf.ctx.pow(beta, e)
-            nroot = (-root) % q
-            nxt = [np.zeros(k, dtype=np.int64) for _ in range(len(prod) + 1)]
-            for i, c in enumerate(prod):
-                nxt[i + 1] = (nxt[i + 1] + c) % q
-                nxt[i] = (nxt[i] + sf.ctx.mul(nroot, c)) % q
-            prod = nxt
-        coeffs = []
-        for c in prod:
-            if c[1:].any():
-                raise OrderMismatch("factor coefficient left the base field")
-            coeffs.append(int(c[0]))
-        factors[s] = tuple(coeffs)
+    ctx = _splitting_field(q, k)
+    beta = _element_of_order(ctx, f)
+    factors = {c.leader: tuple(_orbit_product(ctx, [ctx.pow(beta, e) for e in c.members]))
+               for c in cosets_full(f, q).cosets if gcd(c.leader, f) == 1}
     if len(factors) != phi // k:
         raise SpectrumMismatch(f"{len(factors)} factors of Phi_{f}, expected {phi // k}")
     return factors
@@ -266,9 +243,9 @@ def irreducible_cyclic_code(q: int, k: int, N: int) -> CodeSpec:
     is exactly the degree-k irreducible factor of x**n - 1 whose code
     contains every trace word (Tr(tau), Tr(tau*alpha**N), ...).
     """
-    check_prime(q)
     if k < 1 or N < 1:
         raise InvalidParameters("k and N must be >= 1")
+    _check_field_params(q, k)
     total = q**k - 1
     if total % N != 0:
         raise InvalidParameters(f"N = {N} does not divide q^k - 1 = {total}")
@@ -284,7 +261,8 @@ def irreducible_cyclic_code(q: int, k: int, N: int) -> CodeSpec:
     if len(orbit) != k:
         raise NoDegreeKFactor(
             f"minimal polynomial of alpha^-N has degree {len(orbit)}, expected {k}")
-    h = _orbit_product(F, orbit)
+    h = _orbit_product(_context(F.modulus, F.q),
+                       [F.coeffs(F.alpha_pow(e)) for e in orbit])
     if not poly.is_irreducible(h, q):
         raise NoDegreeKFactor("check polynomial is reducible")
 

@@ -10,7 +10,7 @@ cosets_full walks each leader's orbit once more to list its members.
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import NotCoprime, SpectrumMismatch
+from .errors import InvalidParameters, NotCoprime, SpectrumMismatch
 from .intmath import divisors, euler_phi
 
 __all__ = [
@@ -70,9 +70,9 @@ class CosetPartition:
 
 def _validate(N: int, p: int) -> None:
     if N < 1:
-        raise ValueError("N must be >= 1")
+        raise InvalidParameters("N must be >= 1")
     if p < 2:
-        raise ValueError("p must be >= 2")
+        raise InvalidParameters("p must be >= 2")
     if gcd(N, p) != 1:
         raise NotCoprime(f"gcd({N}, {p}) = {gcd(N, p)} != 1")
 
@@ -119,7 +119,7 @@ def cosets_full(N: int, p: int) -> CosetPartition:
 def multiplicative_order(q: int, f: int) -> int:
     """Smallest s >= 1 with q**s == 1 (mod f); s = 1 when f = 1."""
     if f < 1:
-        raise ValueError("modulus must be >= 1")
+        raise InvalidParameters("modulus must be >= 1")
     if gcd(q, f) != 1:
         raise NotCoprime(f"gcd({q}, {f}) = {gcd(q, f)} != 1")
     if f == 1:

@@ -8,7 +8,9 @@ addition is digit-wise mod q (XOR when q == 2).
 
 The tables are built with numpy and no per-element Python loop.
 Multiplication by a fixed element is a GF(q)-linear map, a k x k matrix
-acting on coefficient vectors, so:
+acting on coefficient vectors; poly.ModMulContext.matrices gives these
+matrices, reduced by the same table of x**(k+j) mod the modulus that its
+multiply uses. So:
 
 - alpha is found by raising the matrices of a batch of candidates to
   (q**k - 1)/p for every prime p at once;
@@ -212,28 +214,6 @@ def _digits(vals, q: int, k: int) -> np.ndarray:
     return vals[:, None] // q ** np.arange(k, dtype=np.int64) % q
 
 
-def _x_powers(modulus: list[int], q: int, k: int) -> np.ndarray:
-    """The k x k matrices of multiplication by x**i for i < k, stacked.
-
-    Coefficient vectors are rows: digits(a * x**i) = digits(a) @ out[i].
-    Multiplication by a = sum a_i x**i is then the matrix sum a_i out[i].
-    """
-    x = np.zeros((k, k), dtype=np.int64)
-    x[:-1, 1:] = np.eye(k - 1, dtype=np.int64)
-    x[-1] = [(-c) % q for c in modulus[:k]]  # x**k mod the modulus
-    out = np.empty((k, k, k), dtype=np.int64)
-    out[0] = np.eye(k, dtype=np.int64)
-    for i in range(1, k):
-        out[i] = out[i - 1] @ x % q
-    return out
-
-
-def _multipliers(elements, x_powers: np.ndarray, q: int) -> np.ndarray:
-    """The matrices of multiplication by each packed element, stacked."""
-    digits = _digits(elements, q, x_powers.shape[0])
-    return np.tensordot(digits, x_powers, axes=1) % q
-
-
 def _full_order(mats: np.ndarray, q: int, group_order: int) -> np.ndarray:
     """Which of the stacked multiply-by-a matrices have a of order q**k - 1.
 
@@ -256,17 +236,18 @@ def _full_order(mats: np.ndarray, q: int, group_order: int) -> np.ndarray:
     return nonzero & ~is_one.any(axis=0)
 
 
-def _primitive_element(modulus: list[int], x_powers: np.ndarray, q: int) -> int:
+def _primitive_element(modulus: list[int], ctx: poly.ModMulContext, q: int) -> int:
     """x when it is primitive, otherwise the first element (in packed-value
-    order) of full multiplicative order; candidates are tested in batches."""
+    order) of full multiplicative order; candidates are tested in batches,
+    with ctx, the multiply modulo the modulus, giving their matrices."""
     k = len(modulus) - 1
     order = q**k
     x_residue = q if k > 1 else (-modulus[0]) % q
-    if _full_order(_multipliers([x_residue], x_powers, q), q, order - 1)[0]:
+    if _full_order(ctx.matrices(_digits([x_residue], q, k)), q, order - 1)[0]:
         return x_residue
     for start in range(1, order, _SCAN):
         cands = np.arange(start, min(start + _SCAN, order))
-        hits = np.flatnonzero(_full_order(_multipliers(cands, x_powers, q), q, order - 1))
+        hits = np.flatnonzero(_full_order(ctx.matrices(_digits(cands, q, k)), q, order - 1))
         if hits.size:
             return int(cands[hits[0]])
     raise InvalidParameters("no primitive element found")  # unreachable
@@ -325,20 +306,28 @@ def build_ext_field(q: int, k: int) -> ExtField:
     Fields are cached by (q, k) however the call is spelled;
     build_ext_field.cache_clear() empties the cache.
     """
-    check_prime(q)
-    if k < 1:
-        raise ValueError("extension degree must be >= 1")
-    if q**k > DEFAULT_TABLE_CAP:
-        raise TableCapExceeded(f"q^k = {q**k} exceeds table cap {DEFAULT_TABLE_CAP}")
+    _check_field_params(q, k)
     return _build(q, k)
+
+
+def _check_field_params(q: int, k: int) -> None:
+    """Raise unless GF(q**k) is a field within the table cap. The cap
+    comes first, and k >= 23 is over it for any q >= 2, because q**k for
+    a huge k, or trial division of a huge q, would not finish."""
+    if k < 1:
+        raise InvalidParameters("extension degree must be >= 1")
+    if q > 1 and (q > DEFAULT_TABLE_CAP or k >= DEFAULT_TABLE_CAP.bit_length()
+                  or q**k > DEFAULT_TABLE_CAP):
+        raise TableCapExceeded(f"{q}^{k} exceeds table cap {DEFAULT_TABLE_CAP}")
+    check_prime(q)
 
 
 @lru_cache(maxsize=64)
 def _build(q: int, k: int) -> ExtField:
     modulus = poly.find_irreducible(q, k)
-    x_powers = _x_powers(modulus, q, k)
-    alpha = _primitive_element(modulus, x_powers, q)
-    exp_table, log_table = _tables(_multipliers([alpha], x_powers, q)[0], q, k)
+    ctx = poly.ModMulContext(modulus, q)
+    alpha = _primitive_element(modulus, ctx, q)
+    exp_table, log_table = _tables(ctx.matrices(_digits([alpha], q, k))[0], q, k)
     return ExtField(q, k, tuple(modulus), alpha, exp_table, log_table)
 
 

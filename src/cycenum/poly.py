@@ -2,13 +2,15 @@
 
 A polynomial is a list of ints in [0, q), low degree first, with no
 trailing zeros; the zero polynomial is the empty list. All arithmetic is
-exact. Irreducibility uses Rabin's test with a numpy-backed modular
-multiply so that degrees in the low hundreds stay cheap.
+exact. ModMulContext is the one numpy-backed multiply modulo a fixed
+polynomial: it serves Rabin's irreducibility test (degrees in the low
+hundreds stay cheap), the table-free splitting fields that factor
+x**n - 1, and the multiply-by-element matrices that build field tables.
 """
 
 import numpy as np
 
-from .errors import DivideByZeroPoly, NoIrreducibleFound
+from .errors import DivideByZeroPoly, InvalidParameters, NoIrreducibleFound
 from .intmath import factorize
 
 
@@ -99,7 +101,8 @@ class ModMulContext:
 
     Reduction of a product (degree <= 2K-2) is one matrix product with a
     precomputed (K-1) x K table of x^(K+j) mod m, so repeated modular
-    squarings in Rabin's test cost two small C-level ops each.
+    squarings in Rabin's test cost two small C-level ops each. The same
+    table reduces a whole matrix of products in matrices().
     """
 
     def __init__(self, modulus: list[int], q: int):
@@ -131,6 +134,25 @@ class ModMulContext:
         head = np.zeros(k, dtype=np.int64)
         head[: k] = c[:k]
         return (head + c[k:] @ self._rows[: len(c) - k]) % q
+
+    def matrices(self, a: np.ndarray) -> np.ndarray:
+        """The k x k matrices of multiplication by each vector in a (..., k).
+
+        Row i of the matrix of a is a * x**i mod m, so b @ matrices(a) is
+        the coefficient vector of b * a for any row vector b. The unreduced
+        rows a * x**i, of length 2k - 1, come from one zero buffer of k rows
+        of 2k: a is written at the start of each row, and reading the buffer
+        back in rows of 2k - 1 shifts row i right by i. Their x**(k+j) parts
+        are then folded back with the table that mul uses.
+        """
+        k = self.k
+        a = np.asarray(a, dtype=np.int64)
+        batch = a.shape[:-1]
+        buf = np.zeros(batch + (k, 2 * k), dtype=np.int64)
+        buf[..., :k] = a[..., None, :]
+        shifts = buf.reshape(batch + (2 * k * k,))[..., :k * (2 * k - 1)]
+        shifts = shifts.reshape(batch + (k, 2 * k - 1))
+        return (shifts[..., :k] + shifts[..., k:] @ self._rows) % self.q
 
     def pow(self, a: np.ndarray, e: int) -> np.ndarray:
         """a**e mod modulus by square-and-multiply, for e >= 0."""
@@ -187,7 +209,7 @@ def find_irreducible(q: int, k: int) -> list[int]:
     order of the packed value sum(c_i * q^i), so builds are reproducible.
     """
     if k < 1:
-        raise ValueError("degree must be >= 1")
+        raise InvalidParameters("degree must be >= 1")
     for v in range(q**k):
         coeffs = []
         t = v

@@ -239,14 +239,15 @@ def macwilliams_dual(w: WeightEnumerator, q: int, k: int, n: int) -> WeightEnume
     This is the standard identity over GF(q); applying it twice returns
     the original enumerator. All dual coefficients must come out as
     non-negative integers summing to q^(n-k); anything else raises
-    NonIntegerDualCoefficient, as does an input weight outside [0, n] or
-    a negative input count.
+    NonIntegerDualCoefficient, as does an input weight or count that is
+    not an int (float arithmetic is inexact past 2**53), a weight outside
+    [0, n] or a negative count.
     """
     if w.n != n:
         raise NonIntegerDualCoefficient(f"enumerator length {w.n} != n = {n}")
     counts = w.spectrum.counts
     for i, a_i in counts.items():
-        if not 0 <= i <= n or a_i < 0:
+        if not (isinstance(i, int) and isinstance(a_i, int) and 0 <= i <= n and a_i >= 0):
             raise NonIntegerDualCoefficient(
                 f"A_{i} = {a_i} is not a count of a weight in [0, {n}]")
     if 4 * len(counts) <= n:

@@ -4,6 +4,7 @@ import itertools
 import math
 
 from cycenum import poly
+from cycenum.errors import OrderMismatch
 from cycenum.field import ExtField
 from cycenum.intmath import factorize
 
@@ -106,6 +107,23 @@ def dual_by_expansion(counts, n, q):
             for t2, cv in enumerate(v):
                 acc[t1 + t2] += a_i * cu * cv
     return acc
+
+
+def orbit_product_reference(F, exponents):
+    """Coefficients of the product of (X - alpha**e) over the exponents,
+    on packed elements through the field's log tables; OrderMismatch when
+    a coefficient is not in the base field."""
+    prod = [1]
+    for e in exponents:
+        nroot = F.neg(F.alpha_pow(e))
+        nxt = [0] * (len(prod) + 1)
+        for i, c in enumerate(prod):
+            nxt[i + 1] = F.add(nxt[i + 1], c)
+            nxt[i] = F.add(nxt[i], F.mul(nroot, c))
+        prod = nxt
+    if any(c >= F.q for c in prod):
+        raise OrderMismatch("orbit product left the base field")
+    return prod
 
 
 # -- per-element field builder, the reference for cycenum.field ----------

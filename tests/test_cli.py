@@ -159,6 +159,38 @@ def test_pipeline_trials_summary(capsys):
     doc = json.loads(out)
     assert doc["exact_count"] == 5
     assert len(doc["trial_results"]) == 5
+    for trials in ("0", "-3"):
+        code, out, err = run_cli(capsys, "pipeline", "2", "4", "3",
+                                 "--epsilon", "0.125", "--seed", "0",
+                                 "--trials", trials, "--json")
+        assert (code, out) == (1, "")
+        assert err.startswith("InvalidParameters")
+
+
+def _run_module(*argv, timeout=None):
+    env = {**os.environ, "PYTHONPATH": str(Path(cycenum.__file__).parents[1])}
+    return subprocess.run([sys.executable, "-m", "cycenum", *argv], env=env,
+                          capture_output=True, text=True, timeout=timeout)
+
+
+@pytest.mark.parametrize("argv", [["cosets", "0", "3"], ["cosets", "-5", "3"],
+                                  ["cosets", "16", "1"], ["factor", "0", "2"],
+                                  ["gauss", "2", "0", "1"]])
+def test_invalid_sizes_exit_1_without_traceback(argv):
+    run = _run_module(*argv)
+    assert run.returncode == 1
+    assert run.stderr.startswith("InvalidParameters:")
+    assert "Traceback" not in run.stderr
+
+
+def test_table_cap_checked_before_primality_and_q_pow_k():
+    # trial division of 2^61 - 1, or the order of 2 mod (2^1000000 - 1)/3,
+    # would not finish; the cap must reject both first
+    for argv in (["gauss", "2305843009213693951", "1", "1"],
+                 ["code", "2", "1000000", "3"]):
+        run = _run_module(*argv, timeout=20)
+        assert run.returncode == 1, argv
+        assert run.stderr.startswith("TableCapExceeded"), argv
 
 
 def test_pipeline_membership_failure_exit_code(capsys):

@@ -19,8 +19,8 @@ from cycenum import (
 from cycenum import codes, poly
 from cycenum.cosets import multiplicative_order
 from cycenum.errors import InvalidParameters, NoDegreeKFactor, NotCoprime, OrderMismatch
-from cycenum.intmath import divisors
-from gf_utils import all_monic, enumerate_span, gf_rank
+from cycenum.intmath import divisors, is_prime
+from gf_utils import all_monic, enumerate_span, gf_rank, orbit_product_reference
 
 
 def eval_in_field(p, x, F):
@@ -123,6 +123,56 @@ def test_factor_large_order_splitting_case():
 def test_factor_rejects_common_divisor():
     with pytest.raises(NotCoprime):
         factor_xn_minus_1(6, 3)
+
+
+def test_orbit_product_reference_root_sources_and_open_root_set():
+    # every Frobenius orbit of alpha in every table field with q**k <= 2**10,
+    # against the packed-int product through the log tables
+    for q in range(2, 1 << 10):
+        if not is_prime(q):
+            continue
+        k = 1
+        while q**k <= 1 << 10:
+            F = build_ext_field(q, k)
+            ctx = poly.ModMulContext(list(F.modulus), q)
+            for orbit in cosets_full(F.group_order, q).cosets:
+                roots = [F.coeffs(F.alpha_pow(e)) for e in orbit.members]
+                assert (codes._orbit_product(ctx, roots)
+                        == orbit_product_reference(F, orbit.members))
+            k += 1
+    # roots as powers of an element of order f (factor_xn_minus_1) and as
+    # digits of alpha**e (minimal_polynomial) give the same factors
+    for q in (2, 3, 5, 7):
+        k = 1
+        while q**k <= 1 << 10:
+            for n in divisors(q**k - 1):
+                if multiplicative_order(q, n) != k:
+                    continue
+                part = cosets_full(n, q)
+                F = build_ext_field(q, k)
+                minimal = sorted(minimal_polynomial(c.leader, part, F) for c in part.cosets)
+                assert sorted(factor_xn_minus_1(n, q)) == minimal, (n, q)
+            k += 1
+    # alpha alone is not Frobenius-closed: X - alpha is not over GF(2),
+    # and the check is a raise, so it holds under python -O too
+    F = build_ext_field(2, 4)
+    with pytest.raises(OrderMismatch):
+        codes._orbit_product(poly.ModMulContext(list(F.modulus), 2), [F.coeffs(F.alpha)])
+    script = "\n".join([
+        "from cycenum import build_ext_field, codes, poly",
+        "from cycenum.errors import OrderMismatch",
+        "F = build_ext_field(2, 4)",
+        "ctx = poly.ModMulContext(list(F.modulus), 2)",
+        "try:",
+        "    codes._orbit_product(ctx, [F.coeffs(F.alpha)])",
+        "except OrderMismatch:",
+        "    raise SystemExit(0)",
+        "raise SystemExit('a product outside GF(2)[X] was accepted')",
+    ])
+    env = {**os.environ, "PYTHONPATH": str(Path(cycenum.__file__).parents[1])}
+    run = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
 
 
 # ---------------------------------------------------------------------------

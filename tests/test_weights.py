@@ -206,9 +206,11 @@ def test_dual_rejects_garbage():
         macwilliams_dual(junk, 2, 4, 15)
     with pytest.raises(NonIntegerDualCoefficient):
         macwilliams_dual(junk, 2, 4, 10)  # wrong length
-    # a weight outside [0, n] or a negative count, before either path runs
+    # a weight outside [0, n], a negative count, or a weight or count that
+    # is not an int, before either path runs
     full = {w: math.comb(15, w) for w in range(16)}
     for counts, k in (({0: 1, 20: 1}, 1), ({0: 1, -1: 1}, 1),
-                      ({0: 1, 1: -1, 2: 2}, 1), ({**full, 16: 5}, 15)):
+                      ({0: 1, 1: -1, 2: 2}, 1), ({**full, 16: 5}, 15),
+                      ({0: 1.0, 7: 8.0, 8: 7.0}, 4), ({0: 1, 7.0: 8, 8: 7}, 4)):
         with pytest.raises(NonIntegerDualCoefficient):
             macwilliams_dual(WeightEnumerator(WeightSpectrum(counts, 15)), 2, k, 15)
