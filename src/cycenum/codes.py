@@ -12,7 +12,9 @@ over a table-backed field, goes through one routine, _orbit_product: the
 product of (X - r) over a Frobenius orbit of roots r given as coefficient
 vectors, each step one multiply by the root's matrix from
 poly.ModMulContext. The splitting fields give the roots as powers of an
-element of order f; the table fields give the digits of alpha**e.
+element of order f; the table fields give the digits of alpha**e. Both
+take that context from field._context(q, k), one per GF(q**k), so a
+splitting field and a table field of the same size share their modulus.
 """
 
 from dataclasses import dataclass
@@ -21,9 +23,9 @@ from math import gcd
 
 import numpy as np
 
-from . import poly
-from .cosets import (CosetPartition, _orbit, cosets_full, coset_count_formula,
-                     multiplicative_order)
+from . import field, poly
+from .cosets import (CosetPartition, _orbit, coset_count_formula, coset_leaders,
+                     cosets_full, multiplicative_order)
 from .errors import InvalidParameters, NoDegreeKFactor, OrderMismatch, SpectrumMismatch
 from .field import ExtField, _check_field_params, _unpack, build_ext_field
 from .intmath import check_prime, euler_phi, factorize
@@ -64,12 +66,6 @@ def _orbit_product(ctx: poly.ModMulContext, roots) -> list[int]:
     return prod[:, 0].tolist()
 
 
-@lru_cache(maxsize=64)
-def _context(modulus: tuple[int, ...], q: int) -> poly.ModMulContext:
-    """The multiply modulo a table field's modulus, built once per modulus."""
-    return poly.ModMulContext(list(modulus), q)
-
-
 def minimal_polynomial(s: int, partition: CosetPartition, F: ExtField) -> list[int]:
     """M_s(X), the product of (X - alpha_N**eta) over eta in the coset of s.
 
@@ -85,12 +81,12 @@ def minimal_polynomial(s: int, partition: CosetPartition, F: ExtField) -> list[i
         raise OrderMismatch(f"GF({F.q}^{F.k}) has no element of order {N}")
     coset = next((c for c in partition.cosets if c.leader == s), None)
     if coset is None:
-        raise ValueError(f"{s} is not a coset leader of the partition")
+        raise InvalidParameters(f"{s} is not a coset leader of the partition")
     if F.k % coset.size != 0:
         raise OrderMismatch(
             f"coset size {coset.size} does not divide extension degree {F.k}")
     step = F.group_order // N
-    coeffs = _orbit_product(_context(F.modulus, F.q), [
+    coeffs = _orbit_product(field._context(F.q, F.k), [
         F.coeffs(F.alpha_pow(step * eta)) for eta in _orbit(s, F.q, N)])
     if coeffs[-1] != 1 or len(coeffs) - 1 != coset.size:
         raise InvalidParameters(f"minimal polynomial of degree {len(coeffs) - 1} "
@@ -98,13 +94,6 @@ def minimal_polynomial(s: int, partition: CosetPartition, F: ExtField) -> list[i
     if not poly.is_irreducible(coeffs, F.q):
         raise InvalidParameters(f"minimal polynomial of {s} is reducible")
     return coeffs
-
-
-@lru_cache(maxsize=64)
-def _splitting_field(q: int, k: int) -> poly.ModMulContext:
-    """GF(q**k) as GF(q)[z]/(h), with no tables. One per (q, k), shared by
-    every cyclotomic order f with ord_f(q) = k, so h is searched for once."""
-    return poly.ModMulContext(poly.find_irreducible(q, k), q)
 
 
 def _element_of_order(ctx: poly.ModMulContext, f: int) -> np.ndarray:
@@ -148,7 +137,7 @@ def _factor_cyclotomic(f: int, q: int) -> dict[int, tuple[int, ...]]:
     if phi == k:
         return {1: _cyclotomic_mod(f, q)}
 
-    ctx = _splitting_field(q, k)
+    ctx = field._context(q, k)  # GF(q**k) as GF(q)[z]/(h), no tables
     beta = _element_of_order(ctx, f)
     factors = {c.leader: tuple(_orbit_product(ctx, [ctx.pow(beta, e) for e in c.members]))
                for c in cosets_full(f, q).cosets if gcd(c.leader, f) == 1}
@@ -165,12 +154,12 @@ def factor_xn_minus_1(n: int, q: int) -> list[list[int]]:
     count is checked against the totient/order formula.
     """
     check_prime(q)
-    partition = cosets_full(n, q)  # raises NotCoprime when gcd(n, q) != 1
     factors = []
-    for coset in partition.cosets:
+    for coset in coset_leaders(n, q).cosets:  # NotCoprime unless gcd(n, q) == 1
+        # dividing by n // f maps the coset mod n onto a coset mod f in
+        # order, so it takes the leader to the leader
         f = n // gcd(n, coset.leader) if coset.leader else 1
-        table = _factor_cyclotomic(f, q)
-        factors.append(list(table[min(_orbit(coset.leader // (n // f), q, f))]))
+        factors.append(list(_factor_cyclotomic(f, q)[coset.leader // (n // f)]))
         if len(factors[-1]) - 1 != coset.size:
             raise SpectrumMismatch(f"factor of degree {len(factors[-1]) - 1} "
                                    f"for a coset of size {coset.size}")
@@ -261,7 +250,7 @@ def irreducible_cyclic_code(q: int, k: int, N: int) -> CodeSpec:
     if len(orbit) != k:
         raise NoDegreeKFactor(
             f"minimal polynomial of alpha^-N has degree {len(orbit)}, expected {k}")
-    h = _orbit_product(_context(F.modulus, F.q),
+    h = _orbit_product(field._context(F.q, F.k),
                        [F.coeffs(F.alpha_pow(e)) for e in orbit])
     if not poly.is_irreducible(h, q):
         raise NoDegreeKFactor("check polynomial is reducible")

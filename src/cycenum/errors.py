@@ -80,7 +80,3 @@ class NonIntegralTheta(CycenumError):
 
 class MembershipFailed(CycenumError):
     """Code/epsilon pair is not a member of the recoverable class."""
-
-
-class RecoveryFailed(CycenumError):
-    """Noisy pipeline recovered a spectrum different from the reference."""

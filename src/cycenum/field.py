@@ -237,15 +237,13 @@ def _full_order(mats: np.ndarray, q: int, group_order: int) -> np.ndarray:
 
 
 def _primitive_element(modulus: list[int], ctx: poly.ModMulContext, q: int) -> int:
-    """x when it is primitive, otherwise the first element (in packed-value
-    order) of full multiplicative order; candidates are tested in batches,
-    with ctx, the multiply modulo the modulus, giving their matrices."""
+    """The first element (in packed-value order) of full multiplicative
+    order. The scan starts at x, packed value q, since the constants have
+    order dividing q - 1 (at 0 when k = 1); batches of candidates get
+    their multiply matrices from ctx."""
     k = len(modulus) - 1
     order = q**k
-    x_residue = q if k > 1 else (-modulus[0]) % q
-    if _full_order(ctx.matrices(_digits([x_residue], q, k)), q, order - 1)[0]:
-        return x_residue
-    for start in range(1, order, _SCAN):
+    for start in range(q % order, order, _SCAN):
         cands = np.arange(start, min(start + _SCAN, order))
         hits = np.flatnonzero(_full_order(ctx.matrices(_digits(cands, q, k)), q, order - 1))
         if hits.size:
@@ -301,10 +299,10 @@ def build_ext_field(q: int, k: int) -> ExtField:
     """Construct GF(q**k) with a verified modulus and primitive element.
 
     Deterministic: the modulus is the first irreducible in the packed-value
-    scan and alpha is the residue class of x when primitive, otherwise the
-    first element (in packed-value order) of full multiplicative order.
-    Fields are cached by (q, k) however the call is spelled;
-    build_ext_field.cache_clear() empties the cache.
+    scan and alpha is the first element (in packed-value order) of full
+    multiplicative order. Fields are cached by (q, k) however the call is
+    spelled; build_ext_field.cache_clear() empties the cache, and the
+    cache of moduli with it.
     """
     _check_field_params(q, k)
     return _build(q, k)
@@ -323,13 +321,24 @@ def _check_field_params(q: int, k: int) -> None:
 
 
 @lru_cache(maxsize=64)
+def _context(q: int, k: int) -> poly.ModMulContext:
+    """Multiply modulo the first irreducible of degree k over GF(q): the
+    modulus of GF(q**k), shared with the table-free splitting fields."""
+    return poly.ModMulContext(poly.find_irreducible(q, k), q)
+
+
+@lru_cache(maxsize=64)
 def _build(q: int, k: int) -> ExtField:
-    modulus = poly.find_irreducible(q, k)
-    ctx = poly.ModMulContext(modulus, q)
-    alpha = _primitive_element(modulus, ctx, q)
+    ctx = _context(q, k)
+    alpha = _primitive_element(ctx.modulus, ctx, q)
     exp_table, log_table = _tables(ctx.matrices(_digits([alpha], q, k))[0], q, k)
-    return ExtField(q, k, tuple(modulus), alpha, exp_table, log_table)
+    return ExtField(q, k, tuple(ctx.modulus), alpha, exp_table, log_table)
 
 
-build_ext_field.cache_clear = _build.cache_clear
+def _cache_clear() -> None:
+    _build.cache_clear()
+    _context.cache_clear()
+
+
+build_ext_field.cache_clear = _cache_clear
 build_ext_field.cache_info = _build.cache_info

@@ -4,7 +4,7 @@ Everything here is deterministic trial division; inputs are desk scale
 (at most a few million), so no probabilistic shortcuts are needed.
 """
 
-from .errors import NotPrime
+from .errors import InvalidParameters, NotPrime
 
 
 def is_prime(n: int) -> bool:
@@ -32,7 +32,7 @@ def check_prime(n: int) -> int:
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization as {prime: exponent}, n >= 1."""
     if n < 1:
-        raise ValueError("factorize expects n >= 1")
+        raise InvalidParameters("factorize expects n >= 1")
     factors: dict[int, int] = {}
     d = 2
     while d * d <= n:

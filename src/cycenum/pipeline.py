@@ -1,25 +1,26 @@
 """Classical simulation of the noisy-oracle weight-recovery pipeline.
 
-The exact Gauss-sum phases, computed once per code, are perturbed by a
-seeded uniform error of magnitude below epsilon (standing in for the
-bounded-error quantum estimator). The weight formula is the one routine
-of cycenum.weights, evaluated at every coset leader at once, and each
-noisy value is rounded to the nearest multiple of q**(theta-1), the
-divisibility step of every weight. The reference spectrum comes from the
-same routine at the exact phases. Whenever epsilon stays below
-q**(theta-1) / (4*sqrt(q**k)) the rounded spectrum provably matches the
-noiseless one; the pipeline reports whether it did.
+Each run builds the code, its divisibility exponent theta and its exact
+Gauss-sum phases once. The phases are perturbed by a seeded uniform error
+of magnitude below epsilon (standing in for the bounded-error quantum
+estimator). The weight formula is the one routine of cycenum.weights,
+evaluated at every coset leader at once, and each noisy value is rounded
+to the nearest multiple of q**(theta-1), the divisibility step of every
+weight. The reference spectrum comes from the same routine at the exact
+phases. Whenever epsilon stays below q**(theta-1) / (4*sqrt(q**k)) the
+rounded spectrum provably matches the noiseless one; the pipeline reports
+whether it did.
 """
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from .codes import CodeSpec, irreducible_cyclic_code
 from .cosets import multiplicative_order
-from .errors import InvalidParameters, MembershipFailed, NonIntegralTheta, RecoveryFailed
+from .errors import InvalidParameters, MembershipFailed, NonIntegralTheta
 from .weights import WeightSpectrum, _exact_spectrum, _formula_inputs, _s_values, _tally
 
 __all__ = [
@@ -39,9 +40,9 @@ __all__ = [
 def digit_sum(x: int, q: int) -> int:
     """Sum of the base-q digits of x >= 0."""
     if x < 0:
-        raise ValueError("digit_sum expects x >= 0")
+        raise InvalidParameters("digit_sum expects x >= 0")
     if q < 2:
-        raise ValueError("base must be >= 2")
+        raise InvalidParameters("base must be >= 2")
     total = 0
     while x:
         total += x % q
@@ -63,9 +64,13 @@ def theta(spec: CodeSpec) -> int:
     return best // (spec.q - 1)
 
 
+def _bound(spec: CodeSpec, theta_val: int) -> float:
+    return spec.q ** (theta_val - 1) / (4.0 * math.sqrt(spec.field.order))
+
+
 def epsilon_bound(spec: CodeSpec) -> float:
     """Largest phase error that still guarantees exact recovery."""
-    return spec.q ** (theta(spec) - 1) / (4.0 * math.sqrt(spec.field.order))
+    return _bound(spec, theta(spec))
 
 
 @dataclass(frozen=True)
@@ -94,8 +99,19 @@ class IcqParams:
         return cls(q=q, k=k, alpha=float(N), s=0.0, epsilon=epsilon)
 
 
+class _Report:
+    """JSON form of a report dataclass: its fields, in declaration order."""
+
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+    @classmethod
+    def from_dict(cls, d: dict):
+        return cls(**{f.name: d[f.name] for f in fields(cls)})
+
+
 @dataclass
-class MembershipReport:
+class MembershipReport(_Report):
     """Clause-by-clause result of the class-membership check."""
 
     q: int
@@ -111,28 +127,6 @@ class MembershipReport:
     member: bool
     failures: list[str]
 
-    def to_dict(self) -> dict:
-        return {
-            "q": self.q,
-            "k": self.k,
-            "N": self.N,
-            "epsilon": self.epsilon,
-            "n_integral": self.n_integral,
-            "order_ok": self.order_ok,
-            "n": self.n,
-            "theta": self.theta,
-            "epsilon_bound": self.epsilon_bound,
-            "epsilon_ok": self.epsilon_ok,
-            "member": self.member,
-            "failures": list(self.failures),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "MembershipReport":
-        return cls(**{k: d[k] for k in (
-            "q", "k", "N", "epsilon", "n_integral", "order_ok", "n",
-            "theta", "epsilon_bound", "epsilon_ok", "member", "failures")})
-
 
 def icq_membership(params: IcqParams) -> MembershipReport:
     """Check the three membership clauses, returning all diagnostics.
@@ -140,6 +134,12 @@ def icq_membership(params: IcqParams) -> MembershipReport:
     Failures are decisions, not errors: n integral, ord_n(q) = k, and
     epsilon within the recovery bound are each reported separately.
     """
+    return _membership(params)[0]
+
+
+def _membership(params: IcqParams) -> tuple[MembershipReport, CodeSpec | None]:
+    """icq_membership's report, and the code if the n and order clauses
+    let it be built."""
     q, k, N, eps = params.q, params.k, params.N, params.epsilon
     failures: list[str] = []
     if not eps < 1:
@@ -152,9 +152,7 @@ def icq_membership(params: IcqParams) -> MembershipReport:
     order_ok = bool(n_integral and multiplicative_order(q, n) == k)
     if n_integral and not order_ok:
         failures.append("OrderCheckFailed")
-    theta_val = None
-    bound = None
-    epsilon_ok = None
+    spec = theta_val = bound = epsilon_ok = None
     if n_integral and order_ok:
         spec = irreducible_cyclic_code(q, k, N)
         try:
@@ -162,16 +160,17 @@ def icq_membership(params: IcqParams) -> MembershipReport:
         except NonIntegralTheta:
             failures.append("NonIntegralTheta")
         else:
-            bound = epsilon_bound(spec)
+            bound = _bound(spec, theta_val)
             epsilon_ok = eps <= bound
             if not epsilon_ok:
                 failures.append("EpsilonExceedsBound")
-    return MembershipReport(
+    report = MembershipReport(
         q=q, k=k, N=N, epsilon=eps,
         n_integral=n_integral, order_ok=order_ok, n=n,
         theta=theta_val, epsilon_bound=bound, epsilon_ok=epsilon_ok,
         member=not failures, failures=failures,
     )
+    return report, spec
 
 
 def noisy_gauss_oracle(true_gamma: float, epsilon: float, seed: int) -> float:
@@ -186,7 +185,7 @@ def noisy_gauss_oracle(true_gamma: float, epsilon: float, seed: int) -> float:
 
 
 @dataclass
-class PipelineReport:
+class PipelineReport(_Report):
     """Everything one noisy recovery run produced."""
 
     q: int
@@ -205,44 +204,26 @@ class PipelineReport:
     exact: bool
 
     def to_dict(self) -> dict:
-        return {
-            "q": self.q,
-            "k": self.k,
-            "N": self.N,
-            "n": self.n,
-            "epsilon": self.epsilon,
-            "seed": self.seed,
-            "theta": self.theta,
-            "epsilon_bound": self.epsilon_bound,
-            "d": self.d,
-            "num_cosets": self.num_cosets,
-            "oracle_calls": self.oracle_calls,
-            "injected_errors": list(self.injected_errors),
-            "recovered_spectrum": self.recovered_spectrum.to_dict(),
-            "exact": self.exact,
-        }
+        return {**asdict(self), "recovered_spectrum": self.recovered_spectrum.to_dict()}
 
     @classmethod
     def from_dict(cls, d: dict) -> "PipelineReport":
         spectrum = WeightSpectrum.from_dict(d["recovered_spectrum"], d["n"])
-        kwargs = {k: d[k] for k in (
-            "q", "k", "N", "n", "epsilon", "seed", "theta", "epsilon_bound",
-            "d", "num_cosets", "oracle_calls", "injected_errors", "exact")}
-        return cls(recovered_spectrum=spectrum, **kwargs)
+        return super().from_dict({**d, "recovered_spectrum": spectrum})
 
 
 class _PipelineContext:
-    """Per-code state shared across trials: code, cosets, character
-    matrix, exact phases and the reference spectrum they give."""
+    """Per-code state shared across trials: code, theta, cosets,
+    character matrix, exact phases and the reference spectrum they give."""
 
-    def __init__(self, q: int, k: int, N: int):
-        self.spec = irreducible_cyclic_code(q, k, N)
-        self.cosets, self.chi, self.gammas = _formula_inputs(self.spec)
+    def __init__(self, spec: CodeSpec, theta_val: int):
+        self.spec = spec
+        self.cosets, self.chi, self.gammas = _formula_inputs(spec)
         self.d = len(self.gammas) + 1
-        self.theta = theta(self.spec)
-        self.divisor = q ** (self.theta - 1)
-        self.bound = epsilon_bound(self.spec)
-        self.reference = _exact_spectrum(self.spec, self.cosets, self.chi, self.gammas)
+        self.theta = theta_val
+        self.divisor = spec.q ** (theta_val - 1)
+        self.bound = _bound(spec, theta_val)
+        self.reference = _exact_spectrum(spec, self.cosets, self.chi, self.gammas)
 
     def run_seed(self, epsilon: float, seed: int) -> PipelineReport:
         spec = self.spec
@@ -264,28 +245,29 @@ class _PipelineContext:
 
 
 def run_pipeline(q: int, k: int, N: int, epsilon: float, seed: int,
-                 force: bool = False, strict: bool = False) -> PipelineReport:
+                 force: bool = False) -> PipelineReport:
     """One noisy recovery run: build the code, sieve the cosets, perturb
     the exact phases, evaluate the weight formula per leader, round to
     multiples of q**(theta-1), tally, and compare to the noiseless
-    spectrum.
+    spectrum; report.exact says whether they matched.
 
     Raises MembershipFailed when the epsilon/parameter check fails and
-    force is not set; with strict=True a non-exact recovery raises
-    RecoveryFailed instead of just being reported.
+    force is not set.
     """
-    report = run_pipeline_trials(q, k, N, epsilon, [seed], force)[0]
-    if strict and not report.exact:
-        raise RecoveryFailed(
-            f"recovered spectrum differs from reference (seed {seed})")
-    return report
+    return run_pipeline_trials(q, k, N, epsilon, [seed], force)[0]
 
 
 def run_pipeline_trials(q: int, k: int, N: int, epsilon: float, seeds,
                         force: bool = False) -> list[PipelineReport]:
-    """run_pipeline over many seeds with the code built only once."""
-    membership = icq_membership(IcqParams.from_code_params(q, k, N, epsilon))
+    """run_pipeline over many seeds, with the code and its theta built
+    only once, by the membership check. Forced past a failed n, order or
+    theta clause, it raises InvalidParameters or NonIntegralTheta."""
+    membership, spec = _membership(IcqParams.from_code_params(q, k, N, epsilon))
     if not membership.member and not force:
         raise MembershipFailed(", ".join(membership.failures))
-    ctx = _PipelineContext(q, k, N)
+    if membership.theta is None:
+        # forced past a failed clause: building the code, or its theta,
+        # raises that clause's error
+        theta(spec or irreducible_cyclic_code(q, k, N))
+    ctx = _PipelineContext(spec, membership.theta)
     return [ctx.run_seed(epsilon, seed) for seed in seeds]

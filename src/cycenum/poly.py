@@ -107,7 +107,7 @@ class ModMulContext:
 
     def __init__(self, modulus: list[int], q: int):
         if not modulus or modulus[-1] != 1:
-            raise ValueError("modulus must be monic")
+            raise InvalidParameters("modulus must be monic")
         self.q = q
         self.k = degree(modulus)
         self.modulus = list(modulus)

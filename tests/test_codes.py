@@ -16,10 +16,10 @@ from cycenum import (
     irreducible_cyclic_code,
     minimal_polynomial,
 )
-from cycenum import codes, poly
+from cycenum import codes, digit_sum, poly
 from cycenum.cosets import multiplicative_order
 from cycenum.errors import InvalidParameters, NoDegreeKFactor, NotCoprime, OrderMismatch
-from cycenum.intmath import divisors, is_prime
+from cycenum.intmath import divisors, factorize, is_prime
 from gf_utils import all_monic, enumerate_span, gf_rank, orbit_product_reference
 
 
@@ -71,6 +71,19 @@ def test_minimal_polynomial_wrong_multiplier():
     F = build_ext_field(2, 4)
     with pytest.raises(InvalidParameters):
         minimal_polynomial(1, part, F)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: factorize(0),
+    lambda: digit_sum(-1, 2),
+    lambda: digit_sum(5, 1),
+    lambda: poly.ModMulContext([1, 1, 2], 3),  # leading coefficient 2
+    lambda: minimal_polynomial(2, cosets_full(15, 2), build_ext_field(2, 4)),  # 2 is not a leader
+], ids=["factorize", "digit_sum-negative", "digit_sum-base", "non-monic-modulus",
+        "non-leader"])
+def test_library_input_errors_are_invalid_parameters(call):
+    with pytest.raises(InvalidParameters):
+        call()
 
 
 # ---------------------------------------------------------------------------

@@ -198,6 +198,19 @@ def test_cache_key_ignores_call_spelling(cold_fields):
     assert (info.misses, info.hits) == (1, 1)
 
 
+def test_cache_clear_repeats_the_modulus_search(monkeypatch, cold_fields):
+    calls = []
+    search = field.poly.find_irreducible
+    monkeypatch.setattr(field.poly, "find_irreducible",
+                        lambda q, k: calls.append((q, k)) or search(q, k))
+    build_ext_field(3, 4)
+    build_ext_field(3, 4)
+    assert calls == [(3, 4)]
+    build_ext_field.cache_clear()
+    build_ext_field(3, 4)
+    assert calls == [(3, 4), (3, 4)]
+
+
 def test_unbalanced_trace_raises(monkeypatch):
     # the zero functional: every basis trace reads 0
     F = build_ext_field(3, 4)

@@ -19,8 +19,8 @@ from cycenum.errors import (
     InvalidParameters,
     MembershipFailed,
     NonIntegralTheta,
-    RecoveryFailed,
 )
+from cycenum import pipeline
 
 
 def test_digit_sum_examples():
@@ -144,9 +144,6 @@ def test_pipeline_overlarge_epsilon_fails_sometimes():
     reports = run_pipeline_trials(2, 4, 3, 1.25, range(100), force=True)
     deviations = [r for r in reports if not r.exact]
     assert deviations, "10x-bound noise never broke recovery in 100 trials"
-    bad_seed = deviations[0].seed
-    with pytest.raises(RecoveryFailed):
-        run_pipeline(2, 4, 3, 1.25, seed=bad_seed, force=True, strict=True)
 
 
 def test_pipeline_membership_gate():
@@ -182,3 +179,45 @@ def test_pipeline_report_roundtrip():
     report = run_pipeline(2, 4, 3, 0.125, seed=7)
     parsed = PipelineReport.from_dict(json.loads(json.dumps(report.to_dict())))
     assert parsed == report
+
+
+def test_one_build_and_one_theta_per_run(monkeypatch):
+    calls = {"build": 0, "theta": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(pipeline, "irreducible_cyclic_code",
+                        counted("build", pipeline.irreducible_cyclic_code))
+    monkeypatch.setattr(pipeline, "theta", counted("theta", pipeline.theta))
+    reports = run_pipeline_trials(2, 12, 5, 0.001, range(3), force=True)
+    assert len(reports) == 3 and all(r.exact for r in reports)
+    assert calls == {"build": 1, "theta": 1}
+
+
+@pytest.mark.parametrize("q,k,N,error", [
+    (2, 4, 7, InvalidParameters),  # N does not divide q^k - 1
+    (2, 4, 5, InvalidParameters),  # ord_n(q) != k
+    (5, 2, 4, NonIntegralTheta),
+])
+def test_forced_run_raises_the_failed_clause(q, k, N, error):
+    with pytest.raises(MembershipFailed):
+        run_pipeline_trials(q, k, N, 0.001, range(2))
+    with pytest.raises(error):
+        run_pipeline_trials(q, k, N, 0.001, range(2), force=True)
+
+
+def test_report_keys():
+    membership = icq_membership(IcqParams.from_code_params(2, 4, 3, 0.1))
+    assert set(membership.to_dict()) == {
+        "q", "k", "N", "epsilon", "n_integral", "order_ok", "n", "theta",
+        "epsilon_bound", "epsilon_ok", "member", "failures"}
+    report = run_pipeline(2, 4, 3, 0.125, seed=7)
+    assert set(report.to_dict()) == {
+        "q", "k", "N", "n", "epsilon", "seed", "theta", "epsilon_bound", "d",
+        "num_cosets", "oracle_calls", "injected_errors", "recovered_spectrum",
+        "exact"}
+    assert report.to_dict()["recovered_spectrum"] == report.recovered_spectrum.to_dict()
