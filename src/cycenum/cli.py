@@ -19,7 +19,7 @@ from .errors import CycenumError, InvalidParameters, SpectrumMismatch
 from .field import build_ext_field
 from .pipeline import (
     IcqParams,
-    epsilon_bound,
+    _bound,
     icq_membership,
     run_pipeline,
     run_pipeline_trials,
@@ -158,7 +158,7 @@ def cmd_dual(args) -> int:
 def cmd_theta(args) -> int:
     spec = irreducible_cyclic_code(args.q, args.k, args.N)
     t = theta(spec)
-    bound = epsilon_bound(spec)
+    bound = _bound(spec, t)
     payload = {
         "q": spec.q, "k": spec.k, "N": spec.N, "n": spec.n,
         "theta": t,

@@ -11,10 +11,10 @@ Every such product, and every minimal polynomial and check polynomial
 over a table-backed field, goes through one routine, _orbit_product: the
 product of (X - r) over a Frobenius orbit of roots r given as coefficient
 vectors, each step one multiply by the root's matrix from
-poly.ModMulContext. The splitting fields give the roots as powers of an
-element of order f; the table fields give the digits of alpha**e. Both
-take that context from field._context(q, k), one per GF(q**k), so a
-splitting field and a table field of the same size share their modulus.
+poly.ModMulContext. A splitting field powers an element of order f to
+each coset leader and walks the rest of the orbit by Frobenius; the
+table fields give the digits of alpha**e. Both take that context from
+field._context(q, k), so same-size fields share their modulus.
 """
 
 from dataclasses import dataclass
@@ -25,7 +25,7 @@ import numpy as np
 
 from . import field, poly
 from .cosets import (CosetPartition, _orbit, coset_count_formula, coset_leaders,
-                     cosets_full, multiplicative_order)
+                     multiplicative_order)
 from .errors import InvalidParameters, NoDegreeKFactor, OrderMismatch, SpectrumMismatch
 from .field import ExtField, _check_field_params, _unpack, build_ext_field
 from .intmath import check_prime, euler_phi, factorize
@@ -139,8 +139,9 @@ def _factor_cyclotomic(f: int, q: int) -> dict[int, tuple[int, ...]]:
 
     ctx = field._context(q, k)  # GF(q**k) as GF(q)[z]/(h), no tables
     beta = _element_of_order(ctx, f)
-    factors = {c.leader: tuple(_orbit_product(ctx, [ctx.pow(beta, e) for e in c.members]))
-               for c in cosets_full(f, q).cosets if gcd(c.leader, f) == 1}
+    factors = {c.leader: tuple(_orbit_product(
+                   ctx, ctx.frobenius_orbit(ctx.pow(beta, c.leader), c.size)))
+               for c in coset_leaders(f, q).cosets if gcd(c.leader, f) == 1}
     if len(factors) != phi // k:
         raise SpectrumMismatch(f"{len(factors)} factors of Phi_{f}, expected {phi // k}")
     return factors
@@ -153,6 +154,8 @@ def factor_xn_minus_1(n: int, q: int) -> list[list[int]]:
     factors is verified to reconstruct x**n - 1 exactly and the factor
     count is checked against the totient/order formula.
     """
+    if (n + 1) * (q - 1) ** 2 >= 2**63:  # the product check sums n+1 terms in int64
+        raise InvalidParameters(f"x^{n} - 1 over GF({q}) overflows int64 products")
     check_prime(q)
     factors = []
     for coset in coset_leaders(n, q).cosets:  # NotCoprime unless gcd(n, q) == 1

@@ -3,10 +3,12 @@
 A polynomial is a list of ints in [0, q), low degree first, with no
 trailing zeros; the zero polynomial is the empty list. All arithmetic is
 exact. ModMulContext is the one numpy-backed multiply modulo a fixed
-polynomial: it serves Rabin's irreducibility test (degrees in the low
-hundreds stay cheap), the table-free splitting fields that factor
-x**n - 1, and the multiply-by-element matrices that build field tables.
+polynomial. It serves the table-free splitting fields that factor
+x**n - 1 and the matrices that build field tables, and its Frobenius
+Q-matrix takes each q-th power in Rabin's test as one matvec.
 """
+
+from functools import cached_property
 
 import numpy as np
 
@@ -100,14 +102,18 @@ class ModMulContext:
     """Multiplication modulo a fixed monic polynomial, numpy-backed.
 
     Reduction of a product (degree <= 2K-2) is one matrix product with a
-    precomputed (K-1) x K table of x^(K+j) mod m, so repeated modular
-    squarings in Rabin's test cost two small C-level ops each. The same
-    table reduces a whole matrix of products in matrices().
+    precomputed (K-1) x K table of x^(K+j) mod m, so a modular multiply
+    costs two small C-level ops. The same table reduces a whole matrix of
+    products in matrices().
     """
 
     def __init__(self, modulus: list[int], q: int):
         if not modulus or modulus[-1] != 1:
             raise InvalidParameters("modulus must be monic")
+        # mul, matrices and the Frobenius matvec sum k int64 products below q**2
+        if (len(modulus) - 1) * (q - 1) ** 2 + (q - 1) >= 2**63:
+            raise InvalidParameters(f"q = {q} overflows int64 products at degree "
+                                    f"{len(modulus) - 1}")
         self.q = q
         self.k = degree(modulus)
         self.modulus = list(modulus)
@@ -165,12 +171,26 @@ class ModMulContext:
             e >>= 1
         return result
 
-    def pow_x(self, e: int) -> np.ndarray:
-        """x**e mod modulus for a (possibly huge) exponent e >= 0."""
-        x = np.zeros(self.k, dtype=np.int64)
-        r = poly_mod([0, 1], self.modulus, self.q)
-        x[: len(r)] = r
-        return self.pow(x, e)
+    @cached_property
+    def frobenius(self) -> np.ndarray:
+        """Berlekamp's Q-matrix: row j is x**(q*j) mod m, so v @ Q % q is v**q
+        (the q-th power is GF(q)-linear). Row j is row j - 1 times x**q."""
+        q, k = self.q, self.k
+        Q = np.zeros((k, k), dtype=np.int64)
+        Q[0, 0] = 1
+        if k > 1:
+            step = self.matrices(self.pow(np.eye(1, k, 1, dtype=np.int64)[0], q))
+            for j in range(1, k):
+                Q[j] = Q[j - 1] @ step % q
+        return Q
+
+    def frobenius_orbit(self, a: np.ndarray, size: int) -> list[np.ndarray]:
+        """The first size terms of a, a**q, a**(q**2), ..., one matvec each."""
+        Q, q = self.frobenius, self.q
+        orbit = [np.asarray(a, dtype=np.int64)]
+        for _ in range(size - 1):
+            orbit.append(orbit[-1] @ Q % q)
+        return orbit
 
 
 def is_irreducible(p: list[int], q: int) -> bool:
@@ -185,21 +205,12 @@ def is_irreducible(p: list[int], q: int) -> bool:
         return False  # divisible by x
     inv = pow(p[-1], -1, q)
     monic = [(c * inv) % q for c in p]
-    ctx = ModMulContext(monic, q)
-    # x^(q^k) == x mod p
-    frob = ctx.pow_x(q**k)
-    target = np.zeros(k, dtype=np.int64)
-    target[1] = 1
-    if not np.array_equal(frob, target):
-        return False
-    # gcd(x^(q^(k/r)) - x, p) == 1 for each prime r | k
-    for r in factorize(k):
-        sub = ctx.pow_x(q ** (k // r))
-        diff = trim([int((sub[i] - (1 if i == 1 else 0)) % q) for i in range(k)])
-        g = poly_gcd(diff, monic, q)
-        if degree(g) != 0:
-            return False
-    return True
+    x = np.eye(1, k, 1, dtype=np.int64)[0]
+    chain = ModMulContext(monic, q).frobenius_orbit(x, k + 1)  # x^(q^i), i = 0..k
+    # x^(q^k) == x mod p, and gcd(x^(q^(k/r)) - x, p) == 1 for each prime r | k
+    return np.array_equal(chain[k], x) and all(
+        degree(poly_gcd(trim(((chain[k // r] - x) % q).tolist()), monic, q)) == 0
+        for r in factorize(k))
 
 
 def find_irreducible(q: int, k: int) -> list[int]:

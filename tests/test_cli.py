@@ -131,6 +131,22 @@ def test_theta_subcommand(capsys):
     assert doc["epsilon_bound"] == 0.125
 
 
+def test_theta_subcommand_computes_theta_once(capsys, monkeypatch):
+    from cycenum import cli, pipeline
+
+    expected = run_cli(capsys, "theta", "2", "12", "5", "--json")
+    original, calls = pipeline.theta, []
+
+    def counting_theta(spec):
+        calls.append(spec)
+        return original(spec)
+
+    monkeypatch.setattr(pipeline, "theta", counting_theta)
+    monkeypatch.setattr(cli, "theta", counting_theta)
+    assert run_cli(capsys, "theta", "2", "12", "5", "--json") == expected
+    assert len(calls) == 1
+
+
 def test_icq_check_roundtrip(capsys):
     code, out, err = run_cli(capsys, "icq-check", "2", "4", "1",
                              "--epsilon", "0.6", "--json")
@@ -175,7 +191,9 @@ def _run_module(*argv, timeout=None):
 
 @pytest.mark.parametrize("argv", [["cosets", "0", "3"], ["cosets", "-5", "3"],
                                   ["cosets", "16", "1"], ["factor", "0", "2"],
-                                  ["gauss", "2", "0", "1"]])
+                                  ["gauss", "2", "0", "1"],
+                                  # residues near 2^32: int64 products would overflow
+                                  ["factor", "5", "4294967311"]])
 def test_invalid_sizes_exit_1_without_traceback(argv):
     run = _run_module(*argv)
     assert run.returncode == 1

@@ -1,8 +1,10 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cycenum import poly
-from cycenum.errors import DivideByZeroPoly
+from cycenum.errors import DivideByZeroPoly, InvalidParameters
+from cycenum.intmath import divisors, factorize
 from gf_utils import all_monic, poly_add
 
 
@@ -79,6 +81,49 @@ def test_find_irreducible_deterministic_classics():
     assert poly.find_irreducible(2, 4) == [1, 1, 0, 0, 1]  # x^4 + x + 1
     got = poly.find_irreducible(3, 2)
     assert poly.is_irreducible(got, 3) and poly.degree(got) == 2
+
+
+def _sparse(terms):
+    """Coefficient list of sum(c * x**e for e, c in terms.items())."""
+    p = [0] * (max(terms) + 1)
+    for e, c in terms.items():
+        p[e] = c
+    return p
+
+
+def test_find_irreducible_scan_order_pinned():
+    # the first hits of the packed-value scan; a change of scan order or of
+    # the irreducibility verdict moves them
+    assert poly.find_irreducible(2, 99) == _sparse({0: 1, 1: 1, 3: 1, 6: 1, 99: 1})
+    assert poly.find_irreducible(3, 48) == _sparse({0: 1, 1: 2, 2: 2, 3: 1, 4: 1, 48: 1})
+    assert poly.find_irreducible(5, 36) == _sparse({0: 2, 1: 3, 3: 1, 36: 1})
+
+
+def _mobius(n):
+    exps = factorize(n).values()
+    return 0 if any(e > 1 for e in exps) else (-1) ** len(exps)
+
+
+@pytest.mark.parametrize("q,max_d", [(2, 10), (3, 6), (5, 4)])
+def test_irreducible_count_matches_gauss_formula(q, max_d):
+    for d in range(1, max_d + 1):
+        gauss = sum(_mobius(e) * q ** (d // e) for e in divisors(d)) // d
+        assert sum(poly.is_irreducible(p, q) for p in all_monic(q, d)) == gauss, d
+
+
+@pytest.mark.parametrize("q,k", [(2, 2), (2, 12), (3, 7), (5, 4), (2, 48), (13, 3)])
+def test_frobenius_matrix_is_qth_power(q, k):
+    ctx = poly.ModMulContext(poly.find_irreducible(q, k), q)
+    rng = np.random.default_rng(q * 100 + k)
+    for v in rng.integers(0, q, size=(20, k)):
+        assert np.array_equal(v @ ctx.frobenius % q, ctx.pow(v, q))
+        orbit = ctx.frobenius_orbit(v, 3)
+        assert np.array_equal(orbit[2], ctx.pow(v, q * q))
+
+
+def test_mod_mul_context_refuses_int64_overflow():
+    with pytest.raises(InvalidParameters):
+        poly.ModMulContext([1, 0, 1], 2**61 - 1)
 
 
 def test_gcd_of_coprime_factors():
