@@ -6,11 +6,11 @@ Zero is 0 and the multiplicative identity is 1. Multiplication goes
 through the discrete-log tables of a verified primitive element alpha;
 addition is digit-wise mod q (XOR when q == 2).
 
-The tables are built with numpy and no per-element Python loop.
-Multiplication by a fixed element is a GF(q)-linear map, a k x k matrix
-acting on coefficient vectors; poly.ModMulContext.matrices gives these
-matrices, reduced by the same table of x**(k+j) mod the modulus that its
-multiply uses. So:
+The exp, log and trace tables are int64 numpy arrays, built in one pass
+with no per-element Python loop. Multiplication by a fixed element is a
+GF(q)-linear map, a k x k matrix acting on coefficient vectors;
+poly.ModMulContext.matrices gives these matrices, reduced by the same
+table of x**(k+j) mod the modulus that its multiply uses. So:
 
 - alpha is found by raising the matrices of a batch of candidates to
   (q**k - 1)/p for every prime p at once;
@@ -18,8 +18,9 @@ multiply uses. So:
   table are rows [0, B) times the matrix of alpha**B) up to one chunk of
   _CHUNK rows, and every later chunk is that first chunk times the matrix
   of alpha**start, so a full q**k x k digit matrix is never held;
-- the trace, a linear functional, is the exp table's digit rows times
-  the vector of traces of the basis x**j, mod q, one chunk at a time.
+- the trace, a linear functional, is each chunk's digit rows times the
+  vector of traces of the basis x**j, mod q, in the same pass; Tr(x**j)
+  is the matrix trace of multiplication by x**j.
 
 Every check raises rather than asserts, so it holds under python -O:
 alpha must reach every nonzero element exactly once and return to 1, and
@@ -62,16 +63,17 @@ def _unpack(v: int, q: int, k: int) -> list[int]:
 class ExtField:
     """GF(q**k) built from a monic irreducible modulus, with full tables.
 
-    exp_table[i] is the packed value of alpha**i for i in [0, q**k - 2];
-    log_table is its inverse on the nonzero elements, with log_table[0]
-    None. Both are lists of ints, built chunk by chunk by block doubling.
-    Constructed through build_ext_field, which verifies the modulus and
-    the order of alpha. The trace table is built on first use, from the
-    linearity of the trace, and checked to be balanced over GF(q).
+    exp_table[i] is the packed value of alpha**i and trace_table()[i] is
+    Tr(alpha**i), for i in [0, q**k - 2]; log_table is the inverse of
+    exp_table on the nonzero elements, and log_table[0] is -1, never read
+    because every method rejects 0 before a log lookup. All three are
+    int64 arrays, built in one pass by _tables, which checks the order of
+    alpha and the balance of the trace. Constructed through
+    build_ext_field. The element methods return Python ints.
     """
 
     def __init__(self, q: int, k: int, modulus: tuple[int, ...], alpha: int,
-                 exp_table: list[int], log_table: list):
+                 exp_table: np.ndarray, log_table: np.ndarray, trace: np.ndarray):
         self.q = q
         self.k = k
         self.modulus = modulus
@@ -80,7 +82,7 @@ class ExtField:
         self.alpha = alpha
         self.exp_table = exp_table
         self.log_table = log_table
-        self._trace_np = None
+        self._trace = trace
 
     # -- element plumbing ----------------------------------------------
 
@@ -137,12 +139,12 @@ class ExtField:
         self.check(b)
         if a == 0 or b == 0:
             return 0
-        return self.exp_table[(self.log_table[a] + self.log_table[b]) % self.group_order]
+        return int(self.exp_table[(self.log_table[a] + self.log_table[b]) % self.group_order])
 
     def inv(self, a: int) -> int:
         if self.check(a) == 0:
             raise LogOfZero("inverse of zero")
-        return self.exp_table[(-self.log_table[a]) % self.group_order]
+        return int(self.exp_table[-self.log_table[a] % self.group_order])
 
     def pow(self, a: int, e: int) -> int:
         """a**e with exponents of any sign reduced mod the group order."""
@@ -153,53 +155,28 @@ class ExtField:
             if e == 0:
                 return 1
             raise LogOfZero("negative power of zero")
-        return self.exp_table[(self.log_table[a] * e) % self.group_order]
+        # a Python int product: log * e overflows int64 for a huge e
+        return int(self.exp_table[int(self.log_table[a]) * e % self.group_order])
 
     def alpha_pow(self, i: int) -> int:
         """alpha**i, i.e. the element Exp(i mod (q**k - 1))."""
-        return self.exp_table[i % self.group_order]
+        return int(self.exp_table[i % self.group_order])
 
     def dlog(self, a: int) -> int:
         """Exponent i with alpha**i == a; a must be nonzero."""
         if self.check(a) == 0:
             raise LogOfZero("discrete log of zero")
-        return self.log_table[a]
+        return int(self.log_table[a])
 
     def trace(self, a: int) -> int:
         """Tr(a) = sum of a**(q**j) for j < k, returned as an int in [0, q)."""
         if self.check(a) == 0:
             return 0
-        m = self.log_table[a]
-        acc = 0
-        qj = 1
-        for _ in range(self.k):
-            acc = self.add(acc, self.exp_table[(m * qj) % self.group_order])
-            qj *= self.q
-        if acc >= self.q:
-            raise OrderMismatch("trace left the base field")
-        return acc
+        return int(self._trace[self.log_table[a]])
 
     def trace_table(self) -> np.ndarray:
-        """Tr(alpha**m) for m in [0, q**k - 2] as an int64 array (cached).
-
-        Tr is GF(q)-linear: Tr(a) = digits(a) . t mod q with t_j = Tr(x**j),
-        applied to the exp table chunk by chunk. A nonzero linear
-        functional takes each value of GF(q) exactly q**(k-1) times over
-        the field; a table that does not raises OrderMismatch.
-        """
-        if self._trace_np is None:
-            q, k = self.q, self.k
-            t = np.array([self.trace(q**j) for j in range(k)], dtype=np.int64)
-            table = np.empty(self.group_order, dtype=np.int64)
-            for start in range(0, self.group_order, _CHUNK):
-                table[start:start + _CHUNK] = (
-                    _digits(self.exp_table[start:start + _CHUNK], q, k) @ t % q)
-            counts = np.bincount(table, minlength=q)
-            counts[0] += 1  # the zero element
-            if (counts != q ** (k - 1)).any():
-                raise OrderMismatch("trace is not balanced over the base field")
-            self._trace_np = table
-        return self._trace_np
+        """Tr(alpha**m) for m in [0, q**k - 2] as an int64 array."""
+        return self._trace
 
     def to_dict(self) -> dict:
         return {"q": self.q, "k": self.k, "modulus": list(self.modulus)}
@@ -251,18 +228,24 @@ def _primitive_element(modulus: list[int], ctx: poly.ModMulContext, q: int) -> i
     raise InvalidParameters("no primitive element found")  # unreachable
 
 
-def _tables(mul: np.ndarray, q: int, k: int) -> tuple[list[int], list]:
-    """exp and log tables of the alpha that mul multiplies by.
+def _tables(mul: np.ndarray, t: np.ndarray, q: int,
+            k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """exp, log and trace tables of the alpha that mul multiplies by, as
+    int64 arrays, given t_j = Tr(x**j).
 
     Block doubling fills the first chunk of powers: rows [B, 2B) of the
     digit table are rows [0, B) times the matrix of alpha**B. Every later
-    chunk is the first chunk times the matrix of alpha**start, so one
-    chunk of digits is held at a time, and log is filled as chunks arrive.
+    chunk's digits are the first chunk's times the matrix of alpha**start,
+    so one chunk of digits is held at a time. Each chunk's digit rows give
+    its exp values (times the powers of q) and its traces (times t, mod q,
+    as the trace is GF(q)-linear), and log is filled as chunks arrive.
     All products are int64 sums of at most k * (q-1)**2, so exact for any
-    field whose tables fit in memory. The two tables share one int object
-    per value, which saves about 40% of their memory. Raises
-    InvalidParameters unless alpha**m hits every nonzero element exactly
-    once for m < q**k - 1 and alpha**(q**k - 1) == 1.
+    field whose tables fit in memory.
+
+    Raises InvalidParameters unless alpha**m hits every nonzero element
+    exactly once for m < q**k - 1 and alpha**(q**k - 1) == 1, and
+    OrderMismatch unless the trace takes each value of GF(q) exactly
+    q**(k-1) times over the field, as a nonzero linear functional does.
     """
     group_order = q**k - 1
     qpow = q ** np.arange(k, dtype=np.int64)
@@ -275,24 +258,28 @@ def _tables(mul: np.ndarray, q: int, k: int) -> tuple[list[int], list]:
         step = step @ step % q
     # size is _CHUNK, a power of two, whenever a later chunk exists, so
     # step is now the matrix of alpha**size.
-    first = _digits(block, q, k)
-    ints = np.arange(q**k, dtype=object)
-    exp_table = ints[block].tolist()
+    first = digits = _digits(block, q, k)
+    exp = np.empty(group_order, dtype=np.int64)
+    trace = np.empty(group_order, dtype=np.int64)
     log = np.full(q**k, -1, dtype=np.int64)
-    log[block] = np.arange(size)
     jump = step
-    for start in range(size, group_order, size):
-        block = first[:group_order - start] @ jump % q @ qpow
-        exp_table += ints[block].tolist()
+    for start in range(0, group_order, size):
+        if start:
+            digits = first[:group_order - start] @ jump % q
+            jump = jump @ step % q
+        block = digits @ qpow
+        exp[start:start + size] = block
+        trace[start:start + size] = digits @ t % q
         log[block] = np.arange(start, start + len(block))
-        jump = jump @ step % q
     if (log[1:] < 0).any():
         raise InvalidParameters("alpha has order below q^k - 1")
-    if (_digits(block[-1:], q, k) @ mul % q @ qpow)[0] != 1:
+    if digits[-1] @ mul % q @ qpow != 1:
         raise InvalidParameters("alpha**(q^k - 1) != 1")
-    log_table = ints[log].tolist()
-    log_table[0] = None
-    return exp_table, log_table
+    counts = np.bincount(trace, minlength=q)
+    counts[0] += 1  # the zero element
+    if (counts != q ** (k - 1)).any():
+        raise OrderMismatch("trace is not balanced over the base field")
+    return exp, log, trace
 
 
 def build_ext_field(q: int, k: int) -> ExtField:
@@ -331,8 +318,10 @@ def _context(q: int, k: int) -> poly.ModMulContext:
 def _build(q: int, k: int) -> ExtField:
     ctx = _context(q, k)
     alpha = _primitive_element(ctx.modulus, ctx, q)
-    exp_table, log_table = _tables(ctx.matrices(_digits([alpha], q, k))[0], q, k)
-    return ExtField(q, k, tuple(ctx.modulus), alpha, exp_table, log_table)
+    # Tr(x**j) is the matrix trace of multiplication by x**j
+    t = np.einsum("jii->j", ctx.matrices(np.eye(k, dtype=np.int64))) % q
+    tables = _tables(ctx.matrices(_digits([alpha], q, k))[0], t, q, k)
+    return ExtField(q, k, tuple(ctx.modulus), alpha, *tables)
 
 
 def _cache_clear() -> None:

@@ -87,8 +87,11 @@ class IcqParams:
         N = self.alpha * self.k**self.s
         if N <= 0 or abs(N - round(N)) > 1e-9:
             raise InvalidParameters(f"N = alpha * k^s = {N} is not a positive integer")
-        if self.epsilon <= 0:
-            raise InvalidParameters(f"epsilon = {self.epsilon} must be positive")
+        # noise is drawn by random.uniform(-epsilon, epsilon), which scales
+        # by 2 * epsilon: that must be finite, so NaN and inf are refused too
+        if not (self.epsilon > 0 and math.isfinite(2 * self.epsilon)):
+            raise InvalidParameters(f"epsilon = {self.epsilon} must be positive and "
+                                    "at most half the largest float")
 
     @property
     def N(self) -> int:

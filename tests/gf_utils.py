@@ -5,7 +5,6 @@ import math
 
 from cycenum import poly
 from cycenum.errors import OrderMismatch
-from cycenum.field import ExtField
 from cycenum.intmath import factorize
 
 
@@ -143,6 +142,13 @@ def _pack(coeffs, q):
     return v
 
 
+def _add_raw(a, b, q, k):
+    """Digit-wise sum mod q of packed elements (XOR when q == 2)."""
+    if q == 2:
+        return a ^ b
+    return _pack([(x + y) % q for x, y in zip(_unpack(a, q, k), _unpack(b, q, k))], q)
+
+
 def _mul_raw(a, b, modulus, q, k):
     """Table-free product of packed elements: schoolbook, then reduction."""
     av = _unpack(a, q, k)
@@ -174,7 +180,8 @@ def reference_field(q, k):
     """GF(q**k) built one element at a time, by the same rules as
     cycenum.build_ext_field: alpha is x when primitive, otherwise the first
     element of full order in packed-value order; exp/log come from repeated
-    multiplication by alpha and the trace table from per-element traces.
+    multiplication by alpha and the trace table from per-element traces,
+    each the Frobenius sum of a**(q**j) for j < k read off those tables.
 
     Returns (modulus, alpha, exp_table, log_table, trace_table as a list).
     """
@@ -204,6 +211,12 @@ def reference_field(q, k):
         acc = _mul_raw(acc, alpha, modulus, q, k)
     assert acc == 1
 
-    F = ExtField(q, k, tuple(modulus), alpha, exp_table, log_table)
-    trace = [F.trace(exp_table[m]) for m in range(group_order)]
-    return tuple(modulus), alpha, exp_table, log_table, trace
+    def trace(m):  # Tr(alpha**m)
+        acc = 0
+        for j in range(k):
+            acc = _add_raw(acc, exp_table[m * q**j % group_order], q, k)
+        if acc >= q:
+            raise OrderMismatch("trace left the base field")
+        return acc
+
+    return tuple(modulus), alpha, exp_table, log_table, [trace(m) for m in range(group_order)]

@@ -193,7 +193,12 @@ def _run_module(*argv, timeout=None):
                                   ["cosets", "16", "1"], ["factor", "0", "2"],
                                   ["gauss", "2", "0", "1"],
                                   # residues near 2^32: int64 products would overflow
-                                  ["factor", "5", "4294967311"]])
+                                  ["factor", "5", "4294967311"],
+                                  # 2 * epsilon must be a finite float
+                                  *[[cmd, "2", "4", "3", "--epsilon", eps, *extra]
+                                    for cmd, extra in (("pipeline", ["--seed", "1", "--force"]),
+                                                       ("icq-check", ["--json"]))
+                                    for eps in ("nan", "inf", "1e308")]])
 def test_invalid_sizes_exit_1_without_traceback(argv):
     run = _run_module(*argv)
     assert run.returncode == 1

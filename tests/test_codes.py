@@ -133,6 +133,17 @@ def test_factor_large_order_splitting_case():
     assert all(poly.is_irreducible(f, 2) for f in factors)
 
 
+def test_factor_above_degree_99():
+    # ord_239(2) = 119 is odd, so -1 is not a power of 2 mod 239: the
+    # cosets of 1 and -1 differ, and their factors are each other's
+    # reciprocal whatever the orbit product does
+    factors = factor_xn_minus_1(239, 2)
+    assert [poly.degree(f) for f in factors] == [1, 119, 119]
+    assert all(poly.is_irreducible(f, 2) for f in factors)
+    # the reciprocal x^d f(1/x) is f reversed, monic as f(0) = 1 over GF(2)
+    assert factors[2] == factors[1][::-1]
+
+
 def test_factor_rejects_common_divisor():
     with pytest.raises(NotCoprime):
         factor_xn_minus_1(6, 3)

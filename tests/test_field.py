@@ -19,7 +19,7 @@ def test_gf2_trivial_group():
     F = build_ext_field(2, 1)
     assert F.order == 2
     assert F.alpha == 1
-    assert F.exp_table == [1]
+    assert F.exp_table.tolist() == [1]
     assert F.mul(1, 1) == 1
 
 
@@ -106,9 +106,9 @@ def test_alpha_is_primitive(q, k):
 
 def test_table_inverses_everywhere():
     F = build_ext_field(3, 3)
-    for i in range(F.group_order):
-        assert F.log_table[F.exp_table[i]] == i
-    assert F.log_table[0] is None
+    assert F.log_table[F.exp_table].tolist() == list(range(F.group_order))
+    with pytest.raises(LogOfZero):
+        F.dlog(0)
 
 
 def test_coeffs_roundtrip():
@@ -140,6 +140,21 @@ def test_pow_negative_exponent_is_inverse_power():
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=-10**9, max_value=10**9))
 def test_pow_matches_alpha_pow(e):
+    F = build_ext_field(2, 4)
+    assert F.pow(F.alpha, e) == F.alpha_pow(e)
+
+
+@pytest.mark.parametrize("q,k", [(2, 4), (3, 3)])
+def test_element_api_returns_python_ints(q, k):
+    F = build_ext_field(q, k)
+    a = F.alpha_pow(5)
+    for value in (F.mul(a, F.alpha), F.inv(a), F.pow(a, 7), F.alpha_pow(3),
+                  F.dlog(a), F.trace(a)):
+        assert type(value) is int
+
+
+@pytest.mark.parametrize("e", [10**30, -10**30])
+def test_pow_exponent_beyond_int64(e):
     F = build_ext_field(2, 4)
     assert F.pow(F.alpha, e) == F.alpha_pow(e)
 
@@ -182,7 +197,9 @@ def cold_fields():
 
 
 def _tables_of(F):
-    return F.modulus, F.alpha, F.exp_table, F.log_table, F.trace_table().tolist()
+    """The tables as lists, with the reference's None for the log of 0."""
+    return (F.modulus, F.alpha, F.exp_table.tolist(), [None] + F.log_table[1:].tolist(),
+            F.trace_table().tolist())
 
 
 @pytest.mark.parametrize("q,k", REFERENCE_FIELDS, ids=[f"{q}^{k}" for q, k in REFERENCE_FIELDS])
@@ -211,13 +228,12 @@ def test_cache_clear_repeats_the_modulus_search(monkeypatch, cold_fields):
     assert calls == [(3, 4), (3, 4)]
 
 
-def test_unbalanced_trace_raises(monkeypatch):
+def test_unbalanced_trace_raises(monkeypatch, cold_fields):
     # the zero functional: every basis trace reads 0
-    F = build_ext_field(3, 4)
-    fresh = field.ExtField(F.q, F.k, F.modulus, F.alpha, F.exp_table, F.log_table)
-    monkeypatch.setattr(field.ExtField, "trace", lambda self, a: 0)
+    tables = field._tables
+    monkeypatch.setattr(field, "_tables", lambda mul, t, q, k: tables(mul, 0 * t, q, k))
     with pytest.raises(OrderMismatch, match="not balanced"):
-        fresh.trace_table()
+        build_ext_field(3, 4)
 
 
 def test_non_primitive_alpha_raises(monkeypatch, cold_fields):
@@ -231,7 +247,7 @@ def test_table_checks_hold_under_python_O():
     script = "\n".join([
         "from cycenum import build_ext_field, field",
         "from cycenum.errors import InvalidParameters, OrderMismatch",
-        "F = build_ext_field(2, 4)",
+        "tables, primitive = field._tables, field._primitive_element",
         "field._primitive_element = lambda modulus, x_powers, q: 8",
         "build_ext_field.cache_clear()",
         "try:",
@@ -239,10 +255,11 @@ def test_table_checks_hold_under_python_O():
         "    raise SystemExit('a non-primitive alpha was accepted')",
         "except InvalidParameters:",
         "    pass",
-        "field.ExtField.trace = lambda self, a: 0",
-        "fresh = field.ExtField(F.q, F.k, F.modulus, F.alpha, F.exp_table, F.log_table)",
+        "field._primitive_element = primitive",
+        "field._tables = lambda mul, t, q, k: tables(mul, 0 * t, q, k)",
+        "build_ext_field.cache_clear()",
         "try:",
-        "    fresh.trace_table()",
+        "    build_ext_field(3, 4)",
         "    raise SystemExit('an unbalanced trace table was accepted')",
         "except OrderMismatch:",
         "    pass",
