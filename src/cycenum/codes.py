@@ -97,12 +97,21 @@ def minimal_polynomial(s: int, partition: CosetPartition, F: ExtField) -> list[i
 
 
 def _element_of_order(ctx: poly.ModMulContext, f: int) -> np.ndarray:
-    """Deterministic element of exact multiplicative order f."""
+    """Deterministic element of exact multiplicative order f.
+
+    Each packed value v >= 2 in turn is raised to the cofactor
+    (q**k - 1)/f, and the first power of order exactly f is returned.
+    When k >= 2 the scan starts at q, the element x: a constant's power
+    is a constant, whose order divides q - 1, and f does not divide
+    q - 1 when k = ord_f(q) >= 2 (the only k _factor_cyclotomic passes),
+    so no constant can succeed. Skipping them returns the same element
+    and keeps the scan from walking all of GF(q) when q is large.
+    """
     q, k = ctx.q, ctx.k
     one = np.eye(1, k, dtype=np.int64)[0]
     cofactor = (q**k - 1) // f
     primes = list(factorize(f)) if f > 1 else []
-    for v in range(2, q**k):
+    for v in range(q if k >= 2 else 2, q**k):
         eta = ctx.pow(np.array(_unpack(v, q, k), dtype=np.int64), cofactor)
         if np.array_equal(eta, one):
             continue

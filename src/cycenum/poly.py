@@ -5,7 +5,10 @@ trailing zeros; the zero polynomial is the empty list. All arithmetic is
 exact. ModMulContext is the one numpy-backed multiply modulo a fixed
 polynomial. It serves the table-free splitting fields that factor
 x**n - 1 and the matrices that build field tables, and its Frobenius
-Q-matrix takes each q-th power in Rabin's test as one matvec.
+Q-matrix takes each q-th power in Rabin's test as one matvec. Before
+building a context, is_irreducible rejects any candidate with a root
+among the first min(q, 32) elements of GF(q), so most reducible moduli
+in find_irreducible's scan cost a few Horner steps.
 """
 
 from functools import cached_property
@@ -194,15 +197,25 @@ class ModMulContext:
 
 
 def is_irreducible(p: list[int], q: int) -> bool:
-    """Rabin's irreducibility test over GF(q)."""
+    """Rabin's irreducibility test over GF(q).
+
+    Above degree 1 a root is a linear factor, so p is first evaluated at
+    a = 0, 1, ..., min(q, 32) - 1 and any zero rejects it before a
+    ModMulContext is built. The bound keeps that check O(k) for any q;
+    it only rejects, and Rabin decides every polynomial that passes it.
+    """
     p = trim([c % q for c in p])
     k = degree(p)
     if k <= 0:
         return False
     if k == 1:
         return True
-    if p[0] == 0:
-        return False  # divisible by x
+    for a in range(min(q, 32)):
+        value = 0
+        for c in reversed(p):
+            value = (value * a + c) % q
+        if value == 0:
+            return False  # divisible by x - a
     inv = pow(p[-1], -1, q)
     monic = [(c * inv) % q for c in p]
     x = np.eye(1, k, 1, dtype=np.int64)[0]

@@ -240,6 +240,7 @@ def test_no_stderr_on_success(capsys):
     for argv in (
         ["cosets", "15", "2"],
         ["factor", "15", "2"],
+        ["factor", "7", "1000003"],
         ["code", "2", "4", "1"],
         ["gauss", "3", "2", "1", "--json"],
         ["weights", "3", "2", "2", "--method", "both"],

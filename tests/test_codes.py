@@ -3,6 +3,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cycenum
@@ -16,7 +17,7 @@ from cycenum import (
     irreducible_cyclic_code,
     minimal_polynomial,
 )
-from cycenum import codes, digit_sum, poly
+from cycenum import codes, digit_sum, field, poly
 from cycenum.cosets import multiplicative_order
 from cycenum.errors import InvalidParameters, NoDegreeKFactor, NotCoprime, OrderMismatch
 from cycenum.intmath import divisors, factorize, is_prime
@@ -142,6 +143,29 @@ def test_factor_above_degree_99():
     assert all(poly.is_irreducible(f, 2) for f in factors)
     # the reciprocal x^d f(1/x) is f reversed, monic as f(0) = 1 over GF(2)
     assert factors[2] == factors[1][::-1]
+
+
+def test_factor_large_q_skips_constants(monkeypatch):
+    # ord_11(65537) = 2: no constant of GF(65537) has order 11, so the
+    # order-11 scan starts at x; walking the constants took about 65000 pows
+    ctx = field._context(65537, 2)
+    calls = []
+    pow_ = poly.ModMulContext.pow
+
+    def counting_pow(self, a, e):
+        calls.append(e)
+        return pow_(self, a, e)
+
+    monkeypatch.setattr(poly.ModMulContext, "pow", counting_pow)
+    beta = codes._element_of_order(ctx, 11)
+    assert len(calls) < 10
+    monkeypatch.undo()
+    one = np.eye(1, 2, dtype=np.int64)[0]
+    assert not np.array_equal(beta, one) and np.array_equal(ctx.pow(beta, 11), one)
+    assert factor_xn_minus_1(11, 65537) == [
+        [65536, 1], [1, 47973, 1], [1, 54102, 1], [1, 44129, 1],
+        [1, 52629, 1], [1, 63316, 1]]
+    assert [poly.degree(f) for f in factor_xn_minus_1(7, 1000003)] == [1, 3, 3]
 
 
 def test_factor_rejects_common_divisor():

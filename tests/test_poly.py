@@ -1,3 +1,9 @@
+import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -59,11 +65,43 @@ def test_divmod_identity(args):
     assert poly_add(poly.poly_mul(quot, b, q), rem, q) == a
 
 
-@pytest.mark.parametrize("q", [2, 3])
-def test_irreducibility_vs_trial_division(q):
-    for d in range(1, 5):
-        for p in all_monic(q, d):
-            assert poly.is_irreducible(p, q) == naive_is_irreducible(p, q), p
+def _monic_up_to(q, max_d):
+    return [p for d in range(1, max_d + 1) for p in all_monic(q, d)]
+
+
+def _linear(a, q):
+    return [-a % q, 1]  # x - a
+
+
+@pytest.mark.parametrize("q,polys", [
+    pytest.param(2, _monic_up_to(2, 4), id="2"),
+    pytest.param(3, _monic_up_to(3, 4), id="3"),
+    # q = 5 and 7 reach the root check at a >= 2
+    pytest.param(5, _monic_up_to(5, 4), id="5"),
+    pytest.param(7, _monic_up_to(7, 3), id="7"),
+    # the root check stops at a = 31: roots at 32 and above (x^2 + 2 has
+    # none) are left to Rabin
+    pytest.param(37, [poly.poly_mul(_linear(32, 37), _linear(36, 37), 37),
+                      poly.poly_mul(_linear(33, 37), _linear(33, 37), 37),
+                      poly.poly_mul(_linear(35, 37), [2, 0, 1], 37)], id="37"),
+    pytest.param(1000003, [_linear(a, 1000003)
+                           for a in (0, 1, 5, 31, 32, 999999, 1000002)], id="1000003"),
+])
+def test_irreducibility_vs_trial_division(q, polys):
+    for p in polys:
+        assert poly.is_irreducible(p, q) == naive_is_irreducible(p, q), p
+
+
+def test_root_check_cost_does_not_grow_with_q():
+    # x^2 + 1 has no root mod 2^31 - 1 (a prime = 3 mod 4); a root check
+    # that ran over all of GF(q) would not finish in the timeout
+    env = {**os.environ, "PYTHONPATH": str(Path(poly.__file__).parents[1])}
+    run = subprocess.run(
+        [sys.executable, "-c",
+         "from cycenum import poly; print(poly.is_irreducible([1, 0, 1], 2**31 - 1))"],
+        env=env, capture_output=True, text=True, timeout=20)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "True\n"
 
 
 def test_is_irreducible_edge_cases():
@@ -97,6 +135,16 @@ def test_find_irreducible_scan_order_pinned():
     assert poly.find_irreducible(2, 99) == _sparse({0: 1, 1: 1, 3: 1, 6: 1, 99: 1})
     assert poly.find_irreducible(3, 48) == _sparse({0: 1, 1: 2, 2: 2, 3: 1, 4: 1, 48: 1})
     assert poly.find_irreducible(5, 36) == _sparse({0: 2, 1: 3, 3: 1, 36: 1})
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+def test_find_irreducible_is_first_in_packed_order(q):
+    # the scan order checked against trial division, independently of Rabin;
+    # the low coefficient varies fastest in packed-value order
+    for k in range(1, 6):
+        packed = ([*tail[::-1], 1] for tail in itertools.product(range(q), repeat=k))
+        first = next(p for p in packed if naive_is_irreducible(p, q))
+        assert poly.find_irreducible(q, k) == first, k
 
 
 def _mobius(n):
