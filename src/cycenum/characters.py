@@ -6,6 +6,13 @@ A Gauss sum is the full sum of chi_j * e_beta over the nonzero elements,
 evaluated in double precision with a vectorized, deterministic pairwise
 summation; for nontrivial chi_j and beta != 0 its magnitude is the exact
 square root of the field size, and only the phase is hard.
+
+gauss_sum evaluates one sum from its M = q**k - 1 angles. The d - 1 sums
+of order_d_character_sums, the ones the weight formula needs, take every
+term from one d x q table instead: chibar**a(alpha**m) depends only on
+(a*m) mod d and e_1(alpha**m) only on Tr(alpha**m), so each sum is a
+gather from the table followed by the same np.sum, term for term and in
+the same order, and its value is bit-identical to gauss_sum's.
 """
 
 import cmath
@@ -60,6 +67,10 @@ def _phase(value: complex) -> float:
     return gamma
 
 
+def _polar(value: complex) -> GaussSumValue:
+    return GaussSumValue(value=value, gamma=_phase(value), magnitude=abs(value))
+
+
 def additive_character(beta: int, a: int, F: ExtField) -> complex:
     """e_beta(a) = exp(2*pi*i * Tr(beta*a) / q)."""
     t = F.trace(F.mul(beta, a))
@@ -85,8 +96,7 @@ def gauss_sum(j: int, beta: int, F: ExtField) -> GaussSumValue:
     else:
         add_angles = _TWO_PI / F.q * np.roll(tr, -F.dlog(beta))
     mult_angles = _TWO_PI / M * ((j * np.arange(M)) % M)
-    value = complex(np.exp(1j * (mult_angles + add_angles)).sum())
-    return GaussSumValue(value=value, gamma=_phase(value), magnitude=abs(value))
+    return _polar(complex(np.exp(1j * (mult_angles + add_angles)).sum()))
 
 
 def order_d_character_sums(spec: CodeSpec) -> list[GaussSumValue]:
@@ -96,8 +106,18 @@ def order_d_character_sums(spec: CodeSpec) -> list[GaussSumValue]:
     chibar(alpha) is a primitive d-th root of unity.
     """
     F = spec.field
-    d = gcd(spec.N, F.group_order // (spec.q - 1))
+    M, q = F.group_order, F.q
+    d = gcd(spec.N, M // (q - 1))
     if d <= 1:
         return []
-    j0 = F.group_order // d
-    return [gauss_sum(j0 * a, 1, F) for a in range(1, d)]
+    j0 = M // d
+    # (j0*a*m) % M == j0*((a*m) % d), so every term of every sum is one of
+    # d*q values, formed by gauss_sum's own float expressions; entry r*q + t
+    # is exp(i*(2*pi*j0*r/M + 2*pi*t/q)).
+    r = np.arange(d).reshape(-1, 1)
+    terms = np.exp(1j * (_TWO_PI / M * (j0 * r) + _TWO_PI / q * np.arange(q))).ravel()
+    # m = i*d + c has (a*m) % d == (a*c) % d: one d-long row offset per a
+    tr = F.trace_table().reshape(M // d, d)
+    c = np.arange(d)
+    return [_polar(complex(terms[tr + (a * c) % d * q].ravel().sum()))
+            for a in range(1, d)]

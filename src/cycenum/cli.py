@@ -34,6 +34,12 @@ from .weights import (
 
 SCHEMA = 1
 
+# Input budget: the largest sizes the CLI accepts, checked before any work.
+# cosets N costs an N-bit sieve and an O(N) loop; 2^22 matches the table
+# cap. Each pipeline trial keeps a report until the output is written.
+MAX_COSETS_N = 1 << 22
+MAX_TRIALS = 100_000
+
 
 def _emit(args, payload: dict, text_lines) -> None:
     if args.json:
@@ -53,6 +59,8 @@ def _poly_str(coeffs: list[int]) -> str:
 
 
 def cmd_cosets(args) -> int:
+    if args.N > MAX_COSETS_N:
+        raise InvalidParameters(f"N = {args.N} exceeds the cosets limit {MAX_COSETS_N}")
     if args.json and not args.members:
         part = coset_leaders(args.N, args.p)
     else:
@@ -191,8 +199,8 @@ def cmd_icq_check(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    if args.trials < 1:
-        raise InvalidParameters(f"--trials {args.trials} must be >= 1")
+    if not 1 <= args.trials <= MAX_TRIALS:
+        raise InvalidParameters(f"--trials {args.trials} must be in [1, {MAX_TRIALS}]")
     if args.trials > 1:
         seeds = range(args.seed, args.seed + args.trials)
         reports = run_pipeline_trials(args.q, args.k, args.N, args.epsilon,

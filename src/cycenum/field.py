@@ -69,7 +69,8 @@ class ExtField:
     because every method rejects 0 before a log lookup. All three are
     int64 arrays, built in one pass by _tables, which checks the order of
     alpha and the balance of the trace. Constructed through
-    build_ext_field. The element methods return Python ints.
+    build_ext_field. The element methods read the tables with item(), so
+    they return Python ints.
     """
 
     def __init__(self, q: int, k: int, modulus: tuple[int, ...], alpha: int,
@@ -139,12 +140,13 @@ class ExtField:
         self.check(b)
         if a == 0 or b == 0:
             return 0
-        return int(self.exp_table[(self.log_table[a] + self.log_table[b]) % self.group_order])
+        log = self.log_table
+        return self.exp_table.item((log.item(a) + log.item(b)) % self.group_order)
 
     def inv(self, a: int) -> int:
         if self.check(a) == 0:
             raise LogOfZero("inverse of zero")
-        return int(self.exp_table[-self.log_table[a] % self.group_order])
+        return self.exp_table.item(-self.log_table.item(a) % self.group_order)
 
     def pow(self, a: int, e: int) -> int:
         """a**e with exponents of any sign reduced mod the group order."""
@@ -155,24 +157,24 @@ class ExtField:
             if e == 0:
                 return 1
             raise LogOfZero("negative power of zero")
-        # a Python int product: log * e overflows int64 for a huge e
-        return int(self.exp_table[int(self.log_table[a]) * e % self.group_order])
+        # item() gives a Python int, so log * e cannot overflow for a huge e
+        return self.exp_table.item(self.log_table.item(a) * e % self.group_order)
 
     def alpha_pow(self, i: int) -> int:
         """alpha**i, i.e. the element Exp(i mod (q**k - 1))."""
-        return int(self.exp_table[i % self.group_order])
+        return self.exp_table.item(i % self.group_order)
 
     def dlog(self, a: int) -> int:
         """Exponent i with alpha**i == a; a must be nonzero."""
         if self.check(a) == 0:
             raise LogOfZero("discrete log of zero")
-        return int(self.log_table[a])
+        return self.log_table.item(a)
 
     def trace(self, a: int) -> int:
         """Tr(a) = sum of a**(q**j) for j < k, returned as an int in [0, q)."""
         if self.check(a) == 0:
             return 0
-        return int(self._trace[self.log_table[a]])
+        return self._trace.item(self.log_table.item(a))
 
     def trace_table(self) -> np.ndarray:
         """Tr(alpha**m) for m in [0, q**k - 2] as an int64 array."""

@@ -3,13 +3,16 @@
 Each run builds the code, its divisibility exponent theta and its exact
 Gauss-sum phases once. The phases are perturbed by a seeded uniform error
 of magnitude below epsilon (standing in for the bounded-error quantum
-estimator). The weight formula is the one routine of cycenum.weights,
-evaluated at every coset leader at once, and each noisy value is rounded
-to the nearest multiple of q**(theta-1), the divisibility step of every
-weight. The reference spectrum comes from the same routine at the exact
-phases. Whenever epsilon stays below q**(theta-1) / (4*sqrt(q**k)) the
-rounded spectrum provably matches the noiseless one; the pipeline reports
-whether it did.
+estimator): phase a of the trial with seed s gets the draw of a Mersenne
+Twister seeded with s*100003 + a. A run keeps one generator and reseeds
+it for each phase rather than constructing one per phase, which gives
+the same draws. The weight formula is the one routine of
+cycenum.weights, evaluated at every coset leader at once, and each noisy
+value is rounded to the nearest multiple of q**(theta-1), the
+divisibility step of every weight. The reference spectrum comes from the
+same routine at the exact phases. Whenever epsilon stays below
+q**(theta-1) / (4*sqrt(q**k)) the rounded spectrum provably matches the
+noiseless one; the pipeline reports whether it did.
 """
 
 import math
@@ -184,7 +187,18 @@ def noisy_gauss_oracle(true_gamma: float, epsilon: float, seed: int) -> float:
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    return true_gamma + random.Random(seed).uniform(-epsilon, epsilon)
+    return true_gamma + _draw(random.Random(), epsilon, seed)
+
+
+def _draw(rng: random.Random, epsilon: float, seed: int) -> float:
+    """rng reseeded with seed, then one uniform draw from (-epsilon, epsilon).
+
+    Reseeding runs the same init_by_array as constructing a generator with
+    that seed, so the draw equals random.Random(seed).uniform(-epsilon,
+    epsilon) without the cost of a new generator object per phase.
+    """
+    rng.seed(seed)
+    return rng.uniform(-epsilon, epsilon)
 
 
 @dataclass
@@ -217,21 +231,25 @@ class PipelineReport(_Report):
 
 class _PipelineContext:
     """Per-code state shared across trials: code, theta, cosets,
-    character matrix, exact phases and the reference spectrum they give."""
+    character matrix, exact phases, the reference spectrum they give and
+    the one generator every phase of every trial reseeds."""
 
     def __init__(self, spec: CodeSpec, theta_val: int):
         self.spec = spec
         self.cosets, self.chi, self.gammas = _formula_inputs(spec)
+        self.phases = list(enumerate(self.gammas.tolist(), start=1))
         self.d = len(self.gammas) + 1
         self.theta = theta_val
         self.divisor = spec.q ** (theta_val - 1)
         self.bound = _bound(spec, theta_val)
         self.reference = _exact_spectrum(spec, self.cosets, self.chi, self.gammas)
+        self.rng = random.Random()
 
     def run_seed(self, epsilon: float, seed: int) -> PipelineReport:
         spec = self.spec
-        noisy = np.array([noisy_gauss_oracle(g, epsilon, seed * 100003 + a)
-                          for a, g in enumerate(self.gammas.tolist(), start=1)])
+        # phase a of trial seed is noisy_gauss_oracle(gamma_a, epsilon, seed*100003 + a)
+        rng, base = self.rng, seed * 100003
+        noisy = np.array([g + _draw(rng, epsilon, base + a) for a, g in self.phases])
         svals = _s_values(spec, self.chi, noisy).real
         weights = [int(w) * self.divisor for w in np.rint(svals / self.divisor)]
         recovered = _tally(spec, weights, self.cosets)

@@ -8,7 +8,9 @@ x**n - 1 and the matrices that build field tables, and its Frobenius
 Q-matrix takes each q-th power in Rabin's test as one matvec. Before
 building a context, is_irreducible rejects any candidate with a root
 among the first min(q, 32) elements of GF(q), so most reducible moduli
-in find_irreducible's scan cost a few Horner steps.
+in find_irreducible's scan cost a few Horner steps. The scan also skips
+the binomials x**k + c outright when k and q rule out every one of them,
+which large q would otherwise pay for with about q Rabin tests.
 """
 
 from functools import cached_property
@@ -234,7 +236,12 @@ def find_irreducible(q: int, k: int) -> list[int]:
     """
     if k < 1:
         raise InvalidParameters("degree must be >= 1")
-    for v in range(q**k):
+    # Packed values below q are the binomials x^k + c. None is irreducible
+    # when a prime r | k does not divide q - 1, or when 4 | k and q = 3
+    # mod 4 (Lidl & Niederreiter, Thm 3.75), so the scan starts past them.
+    binomials_reducible = (any((q - 1) % r for r in factorize(k))
+                           or (k % 4 == 0 and q % 4 == 3))
+    for v in range(q if binomials_reducible else 0, q**k):
         coeffs = []
         t = v
         for _ in range(k):

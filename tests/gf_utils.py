@@ -4,8 +4,9 @@ import itertools
 import math
 
 from cycenum import poly
+from cycenum.cosets import multiplicative_order
 from cycenum.errors import OrderMismatch
-from cycenum.intmath import factorize
+from cycenum.intmath import divisors, factorize, is_prime
 
 
 def gf_rank(matrix, q):
@@ -220,3 +221,15 @@ def reference_field(q, k):
         return acc
 
     return tuple(modulus), alpha, exp_table, log_table, [trace(m) for m in range(group_order)]
+
+
+def valid_codes(cap, qs=None):
+    """Every (q, k, N) with q**k <= cap, N | q**k - 1 and ord_n(q) = k, for q
+    in qs (default: every prime up to cap)."""
+    for q in qs or [p for p in range(2, cap + 1) if is_prime(p)]:
+        k = 1
+        while q**k <= cap:
+            for N in divisors(q**k - 1):
+                if multiplicative_order(q, (q**k - 1) // N) == k:
+                    yield q, k, N
+            k += 1

@@ -14,6 +14,7 @@ from cycenum import (
     order_d_character_sums,
 )
 from cycenum.errors import CharacterOfZero, PhaseOfZero
+from gf_utils import valid_codes
 
 
 def test_additive_character_at_zero_is_one():
@@ -163,3 +164,17 @@ def test_gauss_value_dict_roundtrip():
     g = gauss_sum(3, 1, F)
     d = g.to_dict()
     assert GaussSumValue.from_dict(d) == g
+
+
+def _gauss_sums_one_by_one(spec):
+    F = spec.field
+    d = math.gcd(spec.N, F.group_order // (spec.q - 1))
+    return [gauss_sum(F.group_order // d * a, 1, F) for a in range(1, d)]
+
+
+def test_order_d_sums_gather_equals_gauss_sum():
+    # the d x q gather against gauss_sum's M-long sums, bit for bit, at every
+    # valid code with q**k <= 2**12 and at (2, 16, 17), where d = 17
+    for q, k, N in [*valid_codes(1 << 12), (2, 16, 17)]:
+        spec = irreducible_cyclic_code(q, k, N)
+        assert order_d_character_sums(spec) == _gauss_sums_one_by_one(spec), (q, k, N)

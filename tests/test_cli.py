@@ -8,7 +8,7 @@ import pytest
 
 import cycenum
 from cycenum import CosetPartition, GaussSumValue, MembershipReport, PipelineReport
-from cycenum.cli import main
+from cycenum.cli import MAX_COSETS_N, MAX_TRIALS, main
 from cycenum.weights import WeightSpectrum
 
 PAPER_PARTITION = """{0}
@@ -204,6 +204,30 @@ def test_invalid_sizes_exit_1_without_traceback(argv):
     assert run.returncode == 1
     assert run.stderr.startswith("InvalidParameters:")
     assert "Traceback" not in run.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["cosets", str(10**12), "2"],
+    ["cosets", str(MAX_COSETS_N + 1), "2", "--json", "--members"],
+    ["pipeline", "2", "4", "3", "--epsilon", "0.125", "--seed", "0", "--trials", str(10**12)],
+    ["pipeline", "2", "4", "3", "--epsilon", "0.125", "--seed", "0",
+     "--trials", str(MAX_TRIALS + 1)],
+])
+def test_input_budget_refused_before_work(argv):
+    # a sieve of 10^12 marks or 10^12 trial reports would not finish; the
+    # caps refuse them first (about 0.4 s per run, mostly interpreter start)
+    run = _run_module(*argv, timeout=10)
+    assert run.returncode == 1
+    assert run.stderr.startswith("InvalidParameters:")
+    assert "Traceback" not in run.stderr
+
+
+def test_factor_skips_reducible_binomials():
+    # every x^6 + c over GF(65537) is reducible (3 does not divide 2^16), so
+    # the modulus scan must skip them, not run Rabin on 65,537 binomials
+    run = _run_module("factor", "13", "65537", "--json", timeout=10)
+    assert run.returncode == 0 and run.stderr == ""
+    assert json.loads(run.stdout)["num_factors"] == 3
 
 
 def test_table_cap_checked_before_primality_and_q_pow_k():

@@ -21,7 +21,7 @@ from cycenum import codes, digit_sum, field, poly
 from cycenum.cosets import multiplicative_order
 from cycenum.errors import InvalidParameters, NoDegreeKFactor, NotCoprime, OrderMismatch
 from cycenum.intmath import divisors, factorize, is_prime
-from gf_utils import all_monic, enumerate_span, gf_rank, orbit_product_reference
+from gf_utils import all_monic, enumerate_span, gf_rank, orbit_product_reference, valid_codes
 
 
 def eval_in_field(p, x, F):
@@ -279,20 +279,10 @@ def test_check_divides_xn_minus_1():
         assert prod == poly.x_pow_n_minus_1(spec.n, q)
 
 
-def _valid_codes(cap):
-    for q in (2, 3, 5, 7, 11, 13):
-        k = 1
-        while q**k <= cap:
-            for N in divisors(q**k - 1):
-                if multiplicative_order(q, (q**k - 1) // N) == k:
-                    yield q, k, N
-            k += 1
-
-
 def test_generator_is_the_long_division_quotient():
     # the trace-word generator against schoolbook division, every valid
     # code with q <= 13 and q**k <= 2**10
-    for q, k, N in _valid_codes(1 << 10):
+    for q, k, N in valid_codes(1 << 10, (2, 3, 5, 7, 11, 13)):
         spec = irreducible_cyclic_code(q, k, N)
         quot, rem = poly.poly_divmod(poly.x_pow_n_minus_1(spec.n, q), spec.check, q)
         assert rem == []

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +12,7 @@ from cycenum import (
     icq_membership,
     irreducible_cyclic_code,
     noisy_gauss_oracle,
+    order_d_character_sums,
     run_pipeline,
     run_pipeline_trials,
     theta,
@@ -121,6 +123,28 @@ def test_noisy_oracle_determinism_and_bound():
     assert abs(noisy_gauss_oracle(2.5, 1e-15, seed=1) - 2.5) < 1e-14
     with pytest.raises(ValueError):
         noisy_gauss_oracle(0.0, 0.0, seed=1)
+
+
+@pytest.mark.parametrize("seed", [0, -12345, 2**32 + 7])
+def test_noisy_oracle_is_one_fresh_generator_draw(seed):
+    for gamma, eps in ((1.0, 0.25), (-2.75, 1e-3)):
+        drawn = random.Random(seed).uniform(-eps, eps)
+        assert noisy_gauss_oracle(gamma, eps, seed) == gamma + drawn
+
+
+@pytest.mark.parametrize("q,k,N", [(2, 4, 3), (2, 6, 7), (3, 4, 5)])
+@pytest.mark.parametrize("seed", [0, -3, 2**32 + 5])
+def test_injected_errors_follow_the_seed_scheme(q, k, N, seed):
+    # phase a of trial seed is perturbed by a fresh generator seeded with
+    # seed*100003 + a, whatever generator the pipeline reuses internally
+    spec = irreducible_cyclic_code(q, k, N)
+    eps = epsilon_bound(spec)
+    gammas = [g.gamma for g in order_d_character_sums(spec)]
+    report = run_pipeline(q, k, N, eps, seed, force=eps >= 1)
+    assert len(gammas) >= 2
+    expected = [(g + random.Random(seed * 100003 + a).uniform(-eps, eps)) - g
+                for a, g in enumerate(gammas, start=1)]
+    assert report.injected_errors == expected
 
 
 def test_pipeline_simplex_trivially_exact():

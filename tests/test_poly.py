@@ -147,6 +147,20 @@ def test_find_irreducible_is_first_in_packed_order(q):
         assert poly.find_irreducible(q, k) == first, k
 
 
+@pytest.mark.parametrize("q,k", [(3, 4), (7, 4), (11, 4), (5, 2)])
+def test_find_irreducible_binomial_block(q, k):
+    # the binomials x^k + c are packed values 0..q-1. (3,4), (7,4), (11,4):
+    # 4 | k and q = 3 mod 4, so none is irreducible and the scan skips them;
+    # (5,2): 2 | q - 1, the block is scanned and x^2 + 2 is the first hit
+    binomials = [[c] + [0] * (k - 1) + [1] for c in range(q)]
+    assert any(naive_is_irreducible(b, q) for b in binomials) == ((q, k) == (5, 2))
+    packed = ([*tail[::-1], 1] for tail in itertools.product(range(q), repeat=k))
+    first = next(p for p in packed if naive_is_irreducible(p, q))
+    assert poly.find_irreducible(q, k) == first
+    if (q, k) == (5, 2):
+        assert first == [2, 0, 1]
+
+
 def _mobius(n):
     exps = factorize(n).values()
     return 0 if any(e > 1 for e in exps) else (-1) ** len(exps)
