@@ -9,11 +9,13 @@ runs are byte-identical.
 import argparse
 import functools
 import json
+import math
+import os
 import sys
 
 from . import __version__
 from .codes import factor_xn_minus_1, generator_matrix, irreducible_cyclic_code
-from .cosets import coset_leaders, cosets_full
+from .cosets import coset_leaders, cosets_full, multiplicative_order
 from .characters import gauss_sum
 from .errors import CycenumError, InvalidParameters, SpectrumMismatch
 from .field import build_ext_field
@@ -35,10 +37,16 @@ from .weights import (
 SCHEMA = 1
 
 # Input budget: the largest sizes the CLI accepts, checked before any work.
-# cosets N costs an N-bit sieve and an O(N) loop; 2^22 matches the table
-# cap. Each pipeline trial keeps a report until the output is written.
+# cosets N, and factor n, cost an N-bit sieve and an O(N) loop; 2^22
+# matches the table cap. Each pipeline trial keeps a report until the
+# output is written. factor works in the splitting field GF(q^m),
+# m = ord_n(q), whose root matrices cost O(m^3) each: m = 200 covers every
+# n <= 200 and takes seconds. A dual count is at most q^(n-k), the size of
+# the dual; CPython prints no int of more than 4300 digits by default.
 MAX_COSETS_N = 1 << 22
 MAX_TRIALS = 100_000
+MAX_FACTOR_DEGREE = 200
+MAX_DUAL_DIGITS = 4300
 
 
 def _emit(args, payload: dict, text_lines) -> None:
@@ -73,6 +81,14 @@ def cmd_cosets(args) -> int:
 
 
 def cmd_factor(args) -> int:
+    if args.n > MAX_COSETS_N:
+        raise InvalidParameters(f"n = {args.n} exceeds the factor limit {MAX_COSETS_N}")
+    # n < 1 and gcd(n, q) > 1 are left to the library, which names them
+    if args.n >= 1 and math.gcd(args.n, args.q) == 1:
+        m = multiplicative_order(args.q, args.n)
+        if m > MAX_FACTOR_DEGREE:
+            raise InvalidParameters(f"the splitting field GF({args.q}^{m}) exceeds the "
+                                    f"factor limit of degree {MAX_FACTOR_DEGREE}")
     factors = factor_xn_minus_1(args.n, args.q)
     payload = {
         "n": args.n,
@@ -117,29 +133,27 @@ def cmd_gauss(args) -> int:
     return 0
 
 
-def _spectra_for(args):
-    spec = irreducible_cyclic_code(args.q, args.k, args.N)
-    method = args.method
+def _spectrum(spec, method: str):
     if method == "mceliece":
-        return spec, weight_spectrum_mceliece(spec), method
+        return weight_spectrum_mceliece(spec)
     if method == "brute":
-        return spec, weight_spectrum_bruteforce(spec), method
+        return weight_spectrum_bruteforce(spec)
     a = weight_spectrum_mceliece(spec)
-    b = weight_spectrum_bruteforce(spec)
-    if a.counts != b.counts:
+    if a.counts != weight_spectrum_bruteforce(spec).counts:
         raise SpectrumMismatch("mceliece and brute-force spectra disagree")
-    return spec, a, "both"
+    return a
 
 
 def cmd_weights(args) -> int:
-    spec, spectrum, method = _spectra_for(args)
+    spec = irreducible_cyclic_code(args.q, args.k, args.N)
+    spectrum = _spectrum(spec, args.method)
     payload = {
         "q": spec.q, "k": spec.k, "N": spec.N, "n": spec.n,
-        "method": method,
+        "method": args.method,
         "spectrum": spectrum.to_dict(),
         "enumerator_check": {"A11": WeightEnumerator(spectrum).evaluate(1, 1)},
     }
-    lines = [f"[{spec.n},{spec.k}] code over GF({spec.q}), method={method}"] + [
+    lines = [f"[{spec.n},{spec.k}] code over GF({spec.q}), method={args.method}"] + [
         f"A_{w} = {spectrum.counts[w]}" for w in sorted(spectrum.counts)
     ]
     _emit(args, payload, lines)
@@ -147,11 +161,17 @@ def cmd_weights(args) -> int:
 
 
 def cmd_dual(args) -> int:
-    spec, spectrum, method = _spectra_for(args)
+    spec = irreducible_cyclic_code(args.q, args.k, args.N)
+    # q^(n-k) has floor((n-k) log10 q) + 1 digits
+    if (spec.n - spec.k) * math.log10(spec.q) >= MAX_DUAL_DIGITS:
+        raise InvalidParameters(f"the dual of the [{spec.n},{spec.k}] code has "
+                                f"{spec.q}^{spec.n - spec.k} words, beyond the dual "
+                                f"limit of {MAX_DUAL_DIGITS} digits")
+    spectrum = _spectrum(spec, args.method)
     dual = macwilliams_dual(WeightEnumerator(spectrum), spec.q, spec.k, spec.n)
     payload = {
         "q": spec.q, "k": spec.k, "N": spec.N, "n": spec.n,
-        "method": method,
+        "method": args.method,
         "spectrum": spectrum.to_dict(),
         "dual_spectrum": dual.spectrum.to_dict(),
         "dual_check": {"A11": dual.evaluate(1, 1)},
@@ -332,7 +352,15 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
-    sys.exit(main())
+    try:
+        status = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early: point it at devnull so that the
+        # flush at exit cannot fail again (the recipe of the signal docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(status)
 
 
 if __name__ == "__main__":

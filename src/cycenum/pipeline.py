@@ -4,18 +4,23 @@ Each run builds the code, its divisibility exponent theta and its exact
 Gauss-sum phases once. The phases are perturbed by a seeded uniform error
 of magnitude below epsilon (standing in for the bounded-error quantum
 estimator): phase a of the trial with seed s gets the draw of a Mersenne
-Twister seeded with s*100003 + a. A run keeps one generator and reseeds
-it for each phase rather than constructing one per phase, which gives
-the same draws. The weight formula is the one routine of
-cycenum.weights, evaluated at every coset leader at once, and each noisy
-value is rounded to the nearest multiple of q**(theta-1), the
-divisibility step of every weight. The reference spectrum comes from the
-same routine at the exact phases. Whenever epsilon stays below
+Twister seeded with s*100003 + a. The trials of a run are drawn in
+blocks, one array row per trial, by one generator reseeded through the C
+seed that Random.seed forwards an int to, which gives the same draws as
+a fresh generator per phase. The weight formula is the one routine of
+cycenum.weights, evaluated at every coset leader of every trial in a
+block at once (one stacked matrix-vector product per trial), and each
+noisy value is rounded to the nearest multiple of q**(theta-1), the
+divisibility step of every weight. The reference spectrum comes from
+the same routine at the exact phases; a trial whose rounded weights all
+equal the exact ones gets a copy of its counts, and any other trial is
+tallied on its own. Whenever epsilon stays below
 q**(theta-1) / (4*sqrt(q**k)) the rounded spectrum provably matches the
 noiseless one; the pipeline reports whether it did.
 """
 
 import math
+import operator
 import random
 from dataclasses import asdict, dataclass, fields
 
@@ -187,18 +192,7 @@ def noisy_gauss_oracle(true_gamma: float, epsilon: float, seed: int) -> float:
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    return true_gamma + _draw(random.Random(), epsilon, seed)
-
-
-def _draw(rng: random.Random, epsilon: float, seed: int) -> float:
-    """rng reseeded with seed, then one uniform draw from (-epsilon, epsilon).
-
-    Reseeding runs the same init_by_array as constructing a generator with
-    that seed, so the draw equals random.Random(seed).uniform(-epsilon,
-    epsilon) without the cost of a new generator object per phase.
-    """
-    rng.seed(seed)
-    return rng.uniform(-epsilon, epsilon)
+    return true_gamma + random.Random(seed).uniform(-epsilon, epsilon)
 
 
 @dataclass
@@ -229,40 +223,59 @@ class PipelineReport(_Report):
         return super().from_dict({**d, "recovered_spectrum": spectrum})
 
 
+_BLOCK_CELLS = 1 << 16
+
+
 class _PipelineContext:
     """Per-code state shared across trials: code, theta, cosets,
-    character matrix, exact phases, the reference spectrum they give and
-    the one generator every phase of every trial reseeds."""
+    character matrix, exact phases, and the reference spectrum and exact
+    per-leader weights they give."""
 
     def __init__(self, spec: CodeSpec, theta_val: int):
         self.spec = spec
         self.cosets, self.chi, self.gammas = _formula_inputs(spec)
-        self.phases = list(enumerate(self.gammas.tolist(), start=1))
         self.d = len(self.gammas) + 1
         self.theta = theta_val
         self.divisor = spec.q ** (theta_val - 1)
         self.bound = _bound(spec, theta_val)
         self.reference = _exact_spectrum(spec, self.cosets, self.chi, self.gammas)
-        self.rng = random.Random()
+        self.exact_weights = np.rint(_s_values(spec, self.chi, self.gammas).real)
 
-    def run_seed(self, epsilon: float, seed: int) -> PipelineReport:
-        spec = self.spec
-        # phase a of trial seed is noisy_gauss_oracle(gamma_a, epsilon, seed*100003 + a)
-        rng, base = self.rng, seed * 100003
-        noisy = np.array([g + _draw(rng, epsilon, base + a) for a, g in self.phases])
-        svals = _s_values(spec, self.chi, noisy).real
-        weights = [int(w) * self.divisor for w in np.rint(svals / self.divisor)]
-        recovered = _tally(spec, weights, self.cosets)
-        return PipelineReport(
-            q=spec.q, k=spec.k, N=spec.N, n=spec.n,
-            epsilon=epsilon, seed=seed,
-            theta=self.theta, epsilon_bound=self.bound,
-            d=self.d, num_cosets=len(self.cosets),
-            oracle_calls=self.d - 1,
-            injected_errors=(noisy - self.gammas).tolist(),
-            recovered_spectrum=recovered,
-            exact=recovered.counts == self.reference.counts,
-        )
+    def run_seeds(self, epsilon: float, seeds: list[int]) -> list[PipelineReport]:
+        """One report per seed. Phase a of trial seed is
+        noisy_gauss_oracle(gamma_a, epsilon, seed*100003 + a): the C seed
+        under Random.seed gets that int unchanged, and lo + span*u are
+        uniform's own float operations, so every draw is bit-identical."""
+        spec, d, divisor = self.spec, self.d, self.divisor
+        rng = random.Random()
+        reseed, rand = super(random.Random, rng).seed, rng.random
+        u = np.empty((len(seeds), d - 1))
+        for i, seed in enumerate(seeds):
+            base = seed * 100003
+            u[i] = [reseed(base + a) or rand() for a in range(1, d)]
+        lo = -epsilon
+        noisy = self.gammas + (lo + (epsilon - lo) * u)
+        # stacked matvecs: the same product per trial as a 1-D phase vector
+        rounded = np.rint(_s_values(spec, self.chi, noisy[:, :, None])[..., 0].real / divisor)
+        as_reference = (rounded * divisor == self.exact_weights).all(axis=1)
+        reports = []
+        for seed, errors, row, same in zip(seeds, (noisy - self.gammas).tolist(),
+                                           rounded, as_reference.tolist()):
+            if same:
+                recovered = WeightSpectrum(dict(self.reference.counts), spec.n)
+            else:
+                recovered = _tally(spec, [int(w) * divisor for w in row], self.cosets)
+            reports.append(PipelineReport(
+                q=spec.q, k=spec.k, N=spec.N, n=spec.n,
+                epsilon=epsilon, seed=seed,
+                theta=self.theta, epsilon_bound=self.bound,
+                d=d, num_cosets=len(self.cosets),
+                oracle_calls=d - 1,
+                injected_errors=errors,
+                recovered_spectrum=recovered,
+                exact=recovered.counts == self.reference.counts,
+            ))
+        return reports
 
 
 def run_pipeline(q: int, k: int, N: int, epsilon: float, seed: int,
@@ -282,7 +295,12 @@ def run_pipeline_trials(q: int, k: int, N: int, epsilon: float, seeds,
                         force: bool = False) -> list[PipelineReport]:
     """run_pipeline over many seeds, with the code and its theta built
     only once, by the membership check. Forced past a failed n, order or
-    theta clause, it raises InvalidParameters or NonIntegralTheta."""
+    theta clause, it raises InvalidParameters or NonIntegralTheta, as it
+    does for a seed that is not an integer."""
+    try:
+        seeds = [operator.index(seed) for seed in seeds]
+    except TypeError as exc:
+        raise InvalidParameters(f"seeds must be integers: {exc}") from None
     membership, spec = _membership(IcqParams.from_code_params(q, k, N, epsilon))
     if not membership.member and not force:
         raise MembershipFailed(", ".join(membership.failures))
@@ -291,4 +309,8 @@ def run_pipeline_trials(q: int, k: int, N: int, epsilon: float, seeds,
         # raises that clause's error
         theta(spec or irreducible_cyclic_code(q, k, N))
     ctx = _PipelineContext(spec, membership.theta)
-    return [ctx.run_seed(epsilon, seed) for seed in seeds]
+    # blocks of trials keep the draw and S-value arrays near _BLOCK_CELLS
+    # values each, however many trials there are
+    step = max(1, _BLOCK_CELLS // (ctx.d + len(ctx.cosets)))
+    return [report for i in range(0, len(seeds), step)
+            for report in ctx.run_seeds(epsilon, seeds[i:i + step])]

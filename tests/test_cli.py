@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,11 +7,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cycenum
 from cycenum import CosetPartition, GaussSumValue, MembershipReport, PipelineReport
+from cycenum import cli
 from cycenum.cli import MAX_COSETS_N, MAX_TRIALS, main
 from cycenum.weights import WeightSpectrum
+from gf_utils import valid_codes
 
 PAPER_PARTITION = """{0}
 {1,3,9,11}
@@ -212,14 +217,52 @@ def test_invalid_sizes_exit_1_without_traceback(argv):
     ["pipeline", "2", "4", "3", "--epsilon", "0.125", "--seed", "0", "--trials", str(10**12)],
     ["pipeline", "2", "4", "3", "--epsilon", "0.125", "--seed", "0",
      "--trials", str(MAX_TRIALS + 1)],
+    ["factor", str(MAX_COSETS_N + 1), "3"],
+    ["factor", "100001", "2"],
+    ["dual", "2", "16", "3"],
+    ["dual", "3", "10", "4", "--json"],
 ])
 def test_input_budget_refused_before_work(argv):
-    # a sieve of 10^12 marks or 10^12 trial reports would not finish; the
-    # caps refuse them first (about 0.4 s per run, mostly interpreter start)
+    # a sieve of 10^12 marks, 10^12 trial reports, a splitting field of
+    # degree 9090 or a dual count of 6572 digits would not finish or not
+    # print; the caps refuse them first (about 0.4 s per run, mostly
+    # interpreter start)
     run = _run_module(*argv, timeout=10)
     assert run.returncode == 1
     assert run.stderr.startswith("InvalidParameters:")
     assert "Traceback" not in run.stderr
+
+
+def test_limits_are_inclusive(capsys, monkeypatch):
+    # ord_15(2) = 4 and the dual of the [15,4] code has 2^11 = 2048 words
+    for name, limit, argv in (("MAX_FACTOR_DEGREE", 4, ["factor", "15", "2"]),
+                              ("MAX_DUAL_DIGITS", 4, ["dual", "2", "4", "1"])):
+        monkeypatch.setattr(cli, name, limit)
+        assert run_cli(capsys, *argv)[0] == 0
+        monkeypatch.setattr(cli, name, limit - 1)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("InvalidParameters")
+
+
+def test_closed_stdout_ends_without_traceback():
+    env = {**os.environ, "PYTHONPATH": str(Path(cycenum.__file__).parents[1])}
+    # 5000 trial results are more than a pipe buffer holds
+    proc = subprocess.Popen([sys.executable, "-m", "cycenum", "pipeline", "2", "12", "5",
+                             "--epsilon", "0.001", "--seed", "7", "--trials", "5000",
+                             "--json", "--force"],
+                            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        head = proc.stdout.read(150)
+        proc.stdout.close()
+        proc.wait(timeout=60)
+        err = proc.stderr.read().decode()
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert head.startswith(b'{"N": 5')
+    assert proc.returncode == 1
+    assert "Traceback" not in err
 
 
 def test_factor_skips_reducible_binomials():
@@ -310,3 +353,86 @@ def test_parser_reused_after_usage_error(capsys):
         fresh = subprocess.run([sys.executable, "-m", "cycenum", *argv],
                                env=env, capture_output=True, text=True)
         assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+
+
+# --- fuzz of argv --------------------------------------------------------
+# Sizes are drawn so that every accepted input is small: q^k <= 2^12 (2^8
+# for dual, whose back transform grows as n^2). The argv limits
+# MAX_COSETS_N and MAX_TRIALS are drawn at their value and one past it; at
+# the value, the other arguments are drawn so that a later domain check
+# refuses the input, which crosses the budget check without doing the
+# bounded work behind it.
+
+_Q = st.sampled_from([-1, 0, 1, 2, 3, 4, 5, 6, 7, 9, 11, 13]).map(str)
+_SMALL = st.integers(-3, 40).map(str)
+_VALID = {cap: [[str(v) for v in code] for code in valid_codes(cap, (2, 3, 5, 7, 11, 13))]
+          for cap in (1 << 8, 1 << 12)}
+
+
+def _code(cap=1 << 12):
+    """q k N: a valid code with q^k <= cap, or any small triple, which the
+    table cap refuses above 2^22."""
+    anything = st.tuples(_Q, st.integers(-1, 13).map(str), _SMALL).filter(
+        lambda a: int(a[0]) < 2 or int(a[1]) < 1 or int(a[0]) ** int(a[1]) <= cap
+        or int(a[0]) ** int(a[1]) > 1 << 22).map(list)
+    return st.one_of(st.sampled_from(_VALID[cap]), anything)
+
+
+def _argv(*parts):
+    """One argv list from strategies of single words and of word lists."""
+    return st.tuples(*parts).map(
+        lambda drawn: [w for part in drawn for w in (part if isinstance(part, list) else [part])])
+
+
+def _flags(*names):
+    return st.lists(st.sampled_from(names), unique=True)
+
+
+_EPSILON = st.sampled_from(["nan", "inf", "-0.1", "0", "1e-3", "0.125", "0.5", "2.5", "1e308"])
+_LIMIT_N = st.sampled_from([MAX_COSETS_N, MAX_COSETS_N + 1]).map(str)
+_METHOD = st.sampled_from(["mceliece", "brute", "both"])
+
+ARGV = {
+    "cosets": st.one_of(
+        _argv(_SMALL, _SMALL, _flags("--members", "--json")),
+        # p even or below 2: refused after the N check at N = 2^22
+        _argv(_LIMIT_N, st.sampled_from(["-2", "0", "1", "2", "4"]), _flags("--json"))),
+    "factor": st.one_of(
+        _argv(_SMALL, _Q, _flags("--json")),
+        # ord_(2^22)(q) is 2^20 for odd q, past MAX_FACTOR_DEGREE
+        _argv(_LIMIT_N, _Q, _flags("--json"))),
+    "code": _argv(_code(), _flags("--matrix", "--json")),
+    "gauss": _argv(_code(), st.just("--beta"), _SMALL, _flags("--json")),
+    "weights": _argv(_code(), st.just("--method"), _METHOD, _flags("--json")),
+    "dual": _argv(_code(1 << 8), st.just("--method"), _METHOD, _flags("--json")),
+    "theta": _argv(_code(), _flags("--json")),
+    "icq-check": _argv(_code(), st.just("--epsilon"), _EPSILON, _flags("--json")),
+    "pipeline": st.one_of(
+        _argv(_code(), st.just("--epsilon"),
+              st.one_of(st.sampled_from(["1e-3", "0.125", "2.5"]), _EPSILON),
+              st.just("--seed"), st.integers(-2**40, 2**40).map(str), st.just("--trials"),
+              st.one_of(st.sampled_from(["1", "3"]), st.sampled_from(["-1", "0"])),
+              _flags("--force", "--json")),
+        # an epsilon IcqParams refuses, after the --trials check
+        _argv(_code(), st.just("--epsilon"), st.sampled_from(["nan", "inf", "0", "-1"]),
+              st.just("--seed"), st.just("1"), st.just("--trials"),
+              st.sampled_from([MAX_TRIALS, MAX_TRIALS + 1]).map(str),
+              _flags("--force", "--json"))),
+}
+
+
+@pytest.mark.parametrize("command", sorted(ARGV))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_fuzzed_argv_exits_cleanly(command, data):
+    argv = [command, *data.draw(ARGV[command])]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage error
+            code = exc.code
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue(), argv
+    if code == 1:
+        assert err.getvalue().split(":")[0].isidentifier(), argv

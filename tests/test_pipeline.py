@@ -1,6 +1,7 @@
 import json
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -245,3 +246,62 @@ def test_report_keys():
         "num_cosets", "oracle_calls", "injected_errors", "recovered_spectrum",
         "exact"}
     assert report.to_dict()["recovered_spectrum"] == report.recovered_spectrum.to_dict()
+
+
+SEEDS = [0, -3, 1, 41, 2**33 + 5]
+
+
+@pytest.mark.parametrize("q,k,N,eps", [(2, 4, 3, 0.125), (2, 6, 7, 0.3), (3, 4, 5, 2.5)])
+@pytest.mark.parametrize("block_cells", [pipeline._BLOCK_CELLS, 1])
+def test_trials_equal_single_runs(q, k, N, eps, block_cells, monkeypatch):
+    # one pass over all seeds, in one block or one trial per block, gives
+    # each seed the report of its own run
+    singles = [run_pipeline(q, k, N, eps, seed, force=True).to_dict() for seed in SEEDS]
+    monkeypatch.setattr(pipeline, "_BLOCK_CELLS", block_cells)
+    batch = run_pipeline_trials(q, k, N, eps, SEEDS, force=True)
+    assert [r.to_dict() for r in batch] == singles
+
+
+def _independent_trial(spec, eps, seed):
+    from cycenum.weights import _formula_inputs, _s_values, _tally
+
+    cosets, chi, gammas = _formula_inputs(spec)
+    noisy = np.array([noisy_gauss_oracle(g, eps, seed * 100003 + a)
+                      for a, g in enumerate(gammas.tolist(), start=1)])
+    divisor = spec.q ** (theta(spec) - 1)
+    rounded = np.rint(_s_values(spec, chi, noisy).real / divisor)
+    return noisy - gammas, _tally(spec, [int(w) * divisor for w in rounded], cosets)
+
+
+@pytest.mark.parametrize("q,k,N", [(2, 6, 7), (3, 4, 5), (2, 8, 15)])
+def test_forced_trials_match_an_independent_tally(q, k, N):
+    # at 2.5, far above the bound, trials deviate; each one must be the
+    # per-trial tally of phases drawn by noisy_gauss_oracle
+    spec = irreducible_cyclic_code(q, k, N)
+    reports = run_pipeline_trials(q, k, N, 2.5, range(-5, 25), force=True)
+    assert any(not r.exact for r in reports)
+    for r in reports:
+        errors, expected = _independent_trial(spec, 2.5, r.seed)
+        assert r.injected_errors == errors.tolist()
+        assert r.recovered_spectrum.counts == expected.counts
+        assert list(r.recovered_spectrum.counts) == list(expected.counts)
+
+
+@pytest.mark.parametrize("q,k,N", [(2, 4, 3), (2, 8, 15), (3, 4, 5), (7, 3, 9)])
+def test_stacked_s_values_equal_per_row(q, k, N):
+    from cycenum.weights import _formula_inputs, _s_values
+
+    spec = irreducible_cyclic_code(q, k, N)
+    _, chi, gammas = _formula_inputs(spec)
+    noisy = gammas + np.random.default_rng(5).uniform(-0.5, 0.5, (7, len(gammas)))
+    stacked = _s_values(spec, chi, noisy[:, :, None])[..., 0]
+    assert np.array_equal(stacked, np.array([_s_values(spec, chi, row) for row in noisy]))
+
+
+def test_seeds_must_be_integers():
+    # Random's C seed would hash a float or a str instead of using its value
+    for bad in (1.0, "1", None):
+        with pytest.raises(InvalidParameters):
+            run_pipeline_trials(2, 4, 3, 0.125, [0, bad])
+    assert (run_pipeline(2, 4, 3, 0.125, np.int64(-1)).to_dict()
+            == run_pipeline(2, 4, 3, 0.125, -1).to_dict())
