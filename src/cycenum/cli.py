@@ -15,10 +15,10 @@ import sys
 
 from . import __version__
 from .codes import factor_xn_minus_1, generator_matrix, irreducible_cyclic_code
-from .cosets import coset_leaders, cosets_full, multiplicative_order
+from .cosets import coset_count_formula, coset_leaders, cosets_full, multiplicative_order
 from .characters import gauss_sum
 from .errors import CycenumError, InvalidParameters, SpectrumMismatch
-from .field import build_ext_field
+from .field import DEFAULT_TABLE_CAP, build_ext_field
 from .pipeline import (
     IcqParams,
     _bound,
@@ -39,13 +39,18 @@ SCHEMA = 1
 # Input budget: the largest sizes the CLI accepts, checked before any work.
 # cosets N, and factor n, cost an N-bit sieve and an O(N) loop; 2^22
 # matches the table cap. Each pipeline trial keeps a report until the
-# output is written. factor works in the splitting field GF(q^m),
-# m = ord_n(q), whose root matrices cost O(m^3) each: m = 200 covers every
-# n <= 200 and takes seconds. A dual count is at most q^(n-k), the size of
-# the dual; CPython prints no int of more than 4300 digits by default.
+# output is written, and draws d - 1 phases; 10^6 draws take about 9 s.
+# factor works in the splitting field GF(q^m), m = ord_n(q), where one
+# minimal polynomial costs O(m^3): m = 200 covers every n <= 200. Its
+# product check is a chain of one convolution per factor, quadratic in n:
+# 2384 factors (factor 86955 2) take about 10 s. A dual count is at most
+# q^(n-k), the size of the dual; CPython prints no int of more than 4300
+# digits by default.
 MAX_COSETS_N = 1 << 22
 MAX_TRIALS = 100_000
+MAX_DRAWS = 1_000_000
 MAX_FACTOR_DEGREE = 200
+MAX_FACTOR_COUNT = 2500
 MAX_DUAL_DIGITS = 4300
 
 
@@ -89,6 +94,10 @@ def cmd_factor(args) -> int:
         if m > MAX_FACTOR_DEGREE:
             raise InvalidParameters(f"the splitting field GF({args.q}^{m}) exceeds the "
                                     f"factor limit of degree {MAX_FACTOR_DEGREE}")
+        count = coset_count_formula(args.n, args.q)
+        if count > MAX_FACTOR_COUNT:
+            raise InvalidParameters(f"x^{args.n} - 1 has {count} factors over GF({args.q}), "
+                                    f"beyond the factor limit of {MAX_FACTOR_COUNT}")
     factors = factor_xn_minus_1(args.n, args.q)
     payload = {
         "n": args.n,
@@ -221,6 +230,14 @@ def cmd_icq_check(args) -> int:
 def cmd_pipeline(args) -> int:
     if not 1 <= args.trials <= MAX_TRIALS:
         raise InvalidParameters(f"--trials {args.trials} must be in [1, {MAX_TRIALS}]")
+    # d = gcd(N, (q^k - 1)/(q - 1)) is the order of the phases' character;
+    # q^k stays small while k is under the table cap, and other bad q, k, N
+    # are left to the library, which names them
+    if args.q >= 2 and 1 <= args.k < DEFAULT_TABLE_CAP.bit_length() and args.N >= 1:
+        d = math.gcd(args.N, (args.q**args.k - 1) // (args.q - 1))
+        if args.trials * (d - 1) > MAX_DRAWS:
+            raise InvalidParameters(f"{args.trials} trials of {d - 1} phase draws each "
+                                    f"exceed the draw limit {MAX_DRAWS}")
     if args.trials > 1:
         seeds = range(args.seed, args.seed + args.trials)
         reports = run_pipeline_trials(args.q, args.k, args.N, args.epsilon,

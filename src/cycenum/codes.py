@@ -3,18 +3,17 @@
 factor_xn_minus_1 works per divisor f of n: the primitive f-th roots of
 unity contribute phi(f)/ord_q(f) irreducible factors of degree ord_q(f).
 When that ratio is 1 the factor is the cyclotomic polynomial of order f
-reduced mod q and costs nothing; otherwise the factors are products
-over a small splitting field GF(q**ord_q(f)) held in polynomial form, so
+reduced mod q and costs nothing; otherwise the factors are found in a
+small splitting field GF(q**ord_q(f)) held in polynomial form, so
 no log tables (and no table cap) are involved.
 
-Every such product, and every minimal polynomial and check polynomial
-over a table-backed field, goes through one routine, _orbit_product: the
-product of (X - r) over a Frobenius orbit of roots r given as coefficient
-vectors, each step one multiply by the root's matrix from
-poly.ModMulContext. A splitting field powers an element of order f to
-each coset leader and walks the rest of the orbit by Frobenius; the
-table fields give the digits of alpha**e. Both take that context from
-field._context(q, k), so same-size fields share their modulus.
+Every such factor, and every minimal polynomial and check polynomial
+over a table-backed field, comes from one routine, _min_poly: the unique
+monic relation of degree m, the coset size, among the powers of one root
+(Lidl & Niederreiter, Finite Fields, ch. 3), found by one Gauss-Jordan
+solve mod q. A splitting field powers an element of order f to each
+coset leader; the table fields give the digits of alpha**e. Both take the
+root's matrix from field._context(q, k), so same-size fields share it.
 """
 
 from dataclasses import dataclass
@@ -24,7 +23,7 @@ from math import gcd
 import numpy as np
 
 from . import field, poly
-from .cosets import (CosetPartition, _orbit, coset_count_formula, coset_leaders,
+from .cosets import (CosetPartition, coset_count_formula, coset_leaders,
                      multiplicative_order)
 from .errors import InvalidParameters, NoDegreeKFactor, OrderMismatch, SpectrumMismatch
 from .field import ExtField, _check_field_params, _unpack, build_ext_field
@@ -41,29 +40,38 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# Frobenius-orbit products: minimal polynomials and the factors of x**n - 1
+# minimal polynomials and the factors of x**n - 1
 
 
-def _orbit_product(ctx: poly.ModMulContext, roots) -> list[int]:
-    """Coefficients of the product of (X - r) over the roots.
+def _min_poly(ctx: poly.ModMulContext, root: np.ndarray, m: int) -> list[int]:
+    """Monic degree-m minimal polynomial of root (a vector mod ctx.modulus).
 
-    Each root is a coefficient vector modulo ctx.modulus. The running
-    product is one (deg+1) x k array of coefficient vectors; multiplying
-    it by X - r shifts it up a degree and subtracts it times the matrix
-    of r. One root's matrix is held at a time, so memory stays O(k**2)
-    for the splitting fields of large degree. The roots form a union of
-    Frobenius orbits, so every coefficient lies in the base field; one
-    that does not raises OrderMismatch.
+    The columns of A hold 1, r, ..., r**m, one matvec with r's matrix
+    each; Gauss-Jordan elimination mod q solves sum c_i r**i = -r**m over
+    i < m. A missing pivot means a degree below m (the zero rows past k
+    hold none when m > k); a nonzero entry under the pivots in the last
+    column, one above m. Both raise OrderMismatch.
     """
-    prod = np.eye(1, ctx.k, dtype=np.int64)
-    for root in roots:
-        nxt = np.zeros((len(prod) + 1, ctx.k), dtype=np.int64)
-        nxt[1:] = prod
-        nxt[:-1] -= prod @ ctx.matrices(root)
-        prod = nxt % ctx.q
-    if prod[:, 1:].any():
-        raise OrderMismatch("orbit product left the base field")
-    return prod[:, 0].tolist()
+    q, k = ctx.q, ctx.k
+    R = ctx.matrices(root)
+    A = np.zeros((max(k, m), m + 1), dtype=np.int64)
+    A[0, 0] = 1
+    for i in range(m):
+        A[:k, i + 1] = A[:k, i] @ R % q
+    for j in range(m):
+        p = j + A[j:, j].argmax()  # entries lie in [0, q): a nonzero one if any
+        if p != j:
+            A[[j, p]] = A[[p, j]]
+        pivot = int(A[j, j])
+        if not pivot:
+            raise OrderMismatch(f"a root of degree below {m}")
+        row = A[j] * pow(pivot, -1, q) % q
+        A -= np.outer(A[:, j], row)  # clears column j, row j included
+        A[j] = row
+        A %= q
+    if A[m:, m].any():
+        raise OrderMismatch(f"a root of degree above {m}")
+    return ((-A[:m, m]) % q).tolist() + [1]
 
 
 def minimal_polynomial(s: int, partition: CosetPartition, F: ExtField) -> list[int]:
@@ -85,12 +93,8 @@ def minimal_polynomial(s: int, partition: CosetPartition, F: ExtField) -> list[i
     if F.k % coset.size != 0:
         raise OrderMismatch(
             f"coset size {coset.size} does not divide extension degree {F.k}")
-    step = F.group_order // N
-    coeffs = _orbit_product(field._context(F.q, F.k), [
-        F.coeffs(F.alpha_pow(step * eta)) for eta in _orbit(s, F.q, N)])
-    if coeffs[-1] != 1 or len(coeffs) - 1 != coset.size:
-        raise InvalidParameters(f"minimal polynomial of degree {len(coeffs) - 1} "
-                                f"for a coset of size {coset.size}")
+    root = F.coeffs(F.alpha_pow(F.group_order // N * s))
+    coeffs = _min_poly(field._context(F.q, F.k), root, coset.size)
     if not poly.is_irreducible(coeffs, F.q):
         raise InvalidParameters(f"minimal polynomial of {s} is reducible")
     return coeffs
@@ -148,8 +152,7 @@ def _factor_cyclotomic(f: int, q: int) -> dict[int, tuple[int, ...]]:
 
     ctx = field._context(q, k)  # GF(q**k) as GF(q)[z]/(h), no tables
     beta = _element_of_order(ctx, f)
-    factors = {c.leader: tuple(_orbit_product(
-                   ctx, ctx.frobenius_orbit(ctx.pow(beta, c.leader), c.size)))
+    factors = {c.leader: tuple(_min_poly(ctx, ctx.pow(beta, c.leader), c.size))
                for c in coset_leaders(f, q).cosets if gcd(c.leader, f) == 1}
     if len(factors) != phi // k:
         raise SpectrumMismatch(f"{len(factors)} factors of Phi_{f}, expected {phi // k}")
@@ -256,14 +259,8 @@ def irreducible_cyclic_code(q: int, k: int, N: int) -> CodeSpec:
             f"ord_{n}({q}) = {multiplicative_order(q, n)} != k = {k}")
 
     F = build_ext_field(q, k)
-
-    # Frobenius orbit of alpha**(-N); its size is ord_n(q) = k
-    orbit = _orbit(-N, q, total)
-    if len(orbit) != k:
-        raise NoDegreeKFactor(
-            f"minimal polynomial of alpha^-N has degree {len(orbit)}, expected {k}")
-    h = _orbit_product(field._context(F.q, F.k),
-                       [F.coeffs(F.alpha_pow(e)) for e in orbit])
+    # alpha**(-N) has order n, so its degree is ord_n(q) = k; _min_poly checks it
+    h = _min_poly(field._context(q, k), F.coeffs(F.alpha_pow(-N)), k)
     if not poly.is_irreducible(h, q):
         raise NoDegreeKFactor("check polynomial is reducible")
 

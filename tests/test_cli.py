@@ -13,6 +13,8 @@ import cycenum
 from cycenum import CosetPartition, GaussSumValue, MembershipReport, PipelineReport
 from cycenum import cli
 from cycenum.cli import MAX_COSETS_N, MAX_TRIALS, main
+from cycenum.cosets import multiplicative_order
+from cycenum.poly import is_irreducible
 from cycenum.weights import WeightSpectrum
 from gf_utils import valid_codes
 
@@ -221,10 +223,14 @@ def test_invalid_sizes_exit_1_without_traceback(argv):
     ["factor", "100001", "2"],
     ["dual", "2", "16", "3"],
     ["dual", "3", "10", "4", "--json"],
+    ["factor", "262143", "2"],
+    ["pipeline", "2", "22", "6141", "--epsilon", "0.001", "--seed", "1",
+     "--trials", "100000", "--force"],
 ])
 def test_input_budget_refused_before_work(argv):
     # a sieve of 10^12 marks, 10^12 trial reports, a splitting field of
-    # degree 9090 or a dual count of 6572 digits would not finish or not
+    # degree 9090, a dual count of 6572 digits, a product chain of 14601
+    # factors (68 s) or 614 million phase draws would not finish or not
     # print; the caps refuse them first (about 0.4 s per run, mostly
     # interpreter start)
     run = _run_module(*argv, timeout=10)
@@ -234,15 +240,22 @@ def test_input_budget_refused_before_work(argv):
 
 
 def test_limits_are_inclusive(capsys, monkeypatch):
-    # ord_15(2) = 4 and the dual of the [15,4] code has 2^11 = 2048 words
+    # ord_15(2) = 4, x^15 - 1 has 5 factors over GF(2), the dual of the
+    # [15,4] code has 2^11 = 2048 words, and 2 trials of the [5,4] code
+    # (d = 3) draw 4 phases
+    pipeline = ["pipeline", "2", "4", "3", "--epsilon", "0.125", "--seed", "7",
+                "--trials", "2"]
     for name, limit, argv in (("MAX_FACTOR_DEGREE", 4, ["factor", "15", "2"]),
-                              ("MAX_DUAL_DIGITS", 4, ["dual", "2", "4", "1"])):
-        monkeypatch.setattr(cli, name, limit)
-        assert run_cli(capsys, *argv)[0] == 0
-        monkeypatch.setattr(cli, name, limit - 1)
-        code, out, err = run_cli(capsys, *argv)
-        assert (code, out) == (1, "")
-        assert err.startswith("InvalidParameters")
+                              ("MAX_FACTOR_COUNT", 5, ["factor", "15", "2"]),
+                              ("MAX_DUAL_DIGITS", 4, ["dual", "2", "4", "1"]),
+                              ("MAX_DRAWS", 4, pipeline)):
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, name, limit)
+            assert run_cli(capsys, *argv)[0] == 0
+            patch.setattr(cli, name, limit - 1)
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (1, "")
+            assert err.startswith("InvalidParameters"), name
 
 
 def test_closed_stdout_ends_without_traceback():
@@ -271,6 +284,17 @@ def test_factor_skips_reducible_binomials():
     run = _run_module("factor", "13", "65537", "--json", timeout=10)
     assert run.returncode == 0 and run.stderr == ""
     assert json.loads(run.stdout)["num_factors"] == 3
+
+
+def test_factor_at_the_degree_limit():
+    # ord_401(2) = 200 = MAX_FACTOR_DEGREE: two minimal polynomials of
+    # degree 200, each found by one solve in GF(2^200)
+    assert multiplicative_order(2, 401) == cli.MAX_FACTOR_DEGREE
+    run = _run_module("factor", "401", "2", "--json", timeout=20)
+    assert run.returncode == 0 and run.stderr == ""
+    factors = json.loads(run.stdout)["factors"]
+    assert [len(f) - 1 for f in factors] == [1, 200, 200]
+    assert all(is_irreducible(f, 2) for f in factors)
 
 
 def test_table_cap_checked_before_primality_and_q_pow_k():

@@ -173,9 +173,10 @@ def test_factor_rejects_common_divisor():
         factor_xn_minus_1(6, 3)
 
 
-def test_orbit_product_reference_root_sources_and_open_root_set():
+def test_min_poly_reference_root_sources_and_wrong_degree():
     # every Frobenius orbit of alpha in every table field with q**k <= 2**10,
-    # against the packed-int product through the log tables
+    # given as its first member and its size, against the packed-int
+    # product through the log tables
     for q in range(2, 1 << 10):
         if not is_prime(q):
             continue
@@ -184,8 +185,8 @@ def test_orbit_product_reference_root_sources_and_open_root_set():
             F = build_ext_field(q, k)
             ctx = poly.ModMulContext(list(F.modulus), q)
             for orbit in cosets_full(F.group_order, q).cosets:
-                roots = [F.coeffs(F.alpha_pow(e)) for e in orbit.members]
-                assert (codes._orbit_product(ctx, roots)
+                root = F.coeffs(F.alpha_pow(orbit.members[0]))
+                assert (codes._min_poly(ctx, root, orbit.size)
                         == orbit_product_reference(F, orbit.members))
             k += 1
     # roots as powers of an element of order f (factor_xn_minus_1) and as
@@ -201,21 +202,25 @@ def test_orbit_product_reference_root_sources_and_open_root_set():
                 minimal = sorted(minimal_polynomial(c.leader, part, F) for c in part.cosets)
                 assert sorted(factor_xn_minus_1(n, q)) == minimal, (n, q)
             k += 1
-    # alpha alone is not Frobenius-closed: X - alpha is not over GF(2),
-    # and the check is a raise, so it holds under python -O too
+    # alpha of GF(16) has degree 4: at m = 1 the last column is left
+    # inconsistent, at m = 5 a pivot is missing; the checks are raises, so
+    # they hold under python -O too
     F = build_ext_field(2, 4)
-    with pytest.raises(OrderMismatch):
-        codes._orbit_product(poly.ModMulContext(list(F.modulus), 2), [F.coeffs(F.alpha)])
+    ctx = poly.ModMulContext(list(F.modulus), 2)
+    for m in (1, 5):
+        with pytest.raises(OrderMismatch):
+            codes._min_poly(ctx, F.coeffs(F.alpha), m)
     script = "\n".join([
         "from cycenum import build_ext_field, codes, poly",
         "from cycenum.errors import OrderMismatch",
         "F = build_ext_field(2, 4)",
         "ctx = poly.ModMulContext(list(F.modulus), 2)",
-        "try:",
-        "    codes._orbit_product(ctx, [F.coeffs(F.alpha)])",
-        "except OrderMismatch:",
-        "    raise SystemExit(0)",
-        "raise SystemExit('a product outside GF(2)[X] was accepted')",
+        "for m in (1, 5):",
+        "    try:",
+        "        codes._min_poly(ctx, F.coeffs(F.alpha), m)",
+        "    except OrderMismatch:",
+        "        continue",
+        "    raise SystemExit(f'alpha of GF(16) was given degree {m}')",
     ])
     env = {**os.environ, "PYTHONPATH": str(Path(cycenum.__file__).parents[1])}
     run = subprocess.run([sys.executable, "-O", "-c", script], env=env,
