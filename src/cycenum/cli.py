@@ -1,9 +1,10 @@
 """Command-line interface: one binary, one subcommand per computation.
 
-Exit codes: 0 on success, 1 on a domain error (the error class name goes
-to stderr), 2 on a usage error. Every subcommand accepts --json; JSON
-documents carry "schema": 1 and are emitted with sorted keys so repeated
-runs are byte-identical.
+Each handler returns its output, a JSON payload and the lines of text,
+and main prints one of them. Exit codes: 0 on success, 1 on a domain
+error (the error class name goes to stderr), 2 on a usage error. Every
+subcommand accepts --json; JSON documents carry "schema": 1 and are
+emitted with sorted keys so repeated runs are byte-identical.
 """
 
 import argparse
@@ -12,6 +13,7 @@ import json
 import math
 import os
 import sys
+from collections.abc import Iterable
 
 from . import __version__
 from .codes import factor_xn_minus_1, generator_matrix, irreducible_cyclic_code
@@ -19,14 +21,7 @@ from .cosets import coset_count_formula, coset_leaders, cosets_full, multiplicat
 from .characters import gauss_sum
 from .errors import CycenumError, InvalidParameters, SpectrumMismatch
 from .field import DEFAULT_TABLE_CAP, build_ext_field
-from .pipeline import (
-    IcqParams,
-    _bound,
-    icq_membership,
-    run_pipeline,
-    run_pipeline_trials,
-    theta,
-)
+from .pipeline import IcqParams, _bound, icq_membership, run_pipeline_trials, theta
 from .weights import (
     WeightEnumerator,
     macwilliams_dual,
@@ -40,17 +35,17 @@ SCHEMA = 1
 # cosets N, and factor n, cost an N-bit sieve and an O(N) loop; 2^22
 # matches the table cap. Each pipeline trial keeps a report until the
 # output is written, and draws d - 1 phases; 10^6 draws take about 9 s.
-# factor works in the splitting field GF(q^m), m = ord_n(q), where one
-# minimal polynomial costs O(m^3): m = 200 covers every n <= 200. Its
-# product check is a chain of one convolution per factor, quadratic in n:
-# 2384 factors (factor 86955 2) take about 10 s. A dual count is at most
-# q^(n-k), the size of the dual; CPython prints no int of more than 4300
-# digits by default.
+# factor works in the splitting field GF(q^m), m = ord_n(q): m = 200
+# covers every n <= 200. Its work is estimated as n^2, for the product
+# check's chain of one convolution per factor, plus 10 m^3 per factor, for
+# the minimal polynomials; inputs just under 10^10 of it take 3-11 s. A
+# dual count is at most q^(n-k), the size of the dual; CPython prints no
+# int of more than 4300 digits by default.
 MAX_COSETS_N = 1 << 22
 MAX_TRIALS = 100_000
 MAX_DRAWS = 1_000_000
 MAX_FACTOR_DEGREE = 200
-MAX_FACTOR_COUNT = 2500
+MAX_FACTOR_WORK = 10**10
 MAX_DUAL_DIGITS = 4300
 
 
@@ -71,7 +66,7 @@ def _poly_str(coeffs: list[int]) -> str:
 # subcommand handlers
 
 
-def cmd_cosets(args) -> int:
+def cmd_cosets(args) -> tuple[dict, Iterable[str]]:
     if args.N > MAX_COSETS_N:
         raise InvalidParameters(f"N = {args.N} exceeds the cosets limit {MAX_COSETS_N}")
     if args.json and not args.members:
@@ -81,11 +76,10 @@ def cmd_cosets(args) -> int:
     payload = part.to_dict(with_members=args.members or not args.json)
     lines = ["{" + ",".join(str(m) for m in c.members) + "}" for c in part.cosets] \
         if part.cosets and part.cosets[0].members is not None else []
-    _emit(args, payload, lines)
-    return 0
+    return payload, lines
 
 
-def cmd_factor(args) -> int:
+def cmd_factor(args) -> tuple[dict, Iterable[str]]:
     if args.n > MAX_COSETS_N:
         raise InvalidParameters(f"n = {args.n} exceeds the factor limit {MAX_COSETS_N}")
     # n < 1 and gcd(n, q) > 1 are left to the library, which names them
@@ -95,9 +89,9 @@ def cmd_factor(args) -> int:
             raise InvalidParameters(f"the splitting field GF({args.q}^{m}) exceeds the "
                                     f"factor limit of degree {MAX_FACTOR_DEGREE}")
         count = coset_count_formula(args.n, args.q)
-        if count > MAX_FACTOR_COUNT:
-            raise InvalidParameters(f"x^{args.n} - 1 has {count} factors over GF({args.q}), "
-                                    f"beyond the factor limit of {MAX_FACTOR_COUNT}")
+        if args.n**2 + 10 * count * m**3 > MAX_FACTOR_WORK:
+            raise InvalidParameters(f"x^{args.n} - 1 has {count} factors over GF({args.q}) "
+                                    f"in GF({args.q}^{m}), beyond the factor work limit")
     factors = factor_xn_minus_1(args.n, args.q)
     payload = {
         "n": args.n,
@@ -105,11 +99,10 @@ def cmd_factor(args) -> int:
         "num_factors": len(factors),
         "factors": [list(f) for f in factors],
     }
-    _emit(args, payload, (_poly_str(f) for f in factors))
-    return 0
+    return payload, (_poly_str(f) for f in factors)
 
 
-def cmd_code(args) -> int:
+def cmd_code(args) -> tuple[dict, Iterable[str]]:
     spec = irreducible_cyclic_code(args.q, args.k, args.N)
     payload = spec.to_dict()
     lines = [
@@ -122,11 +115,10 @@ def cmd_code(args) -> int:
         rows = generator_matrix(spec)
         payload["matrix"] = rows
         lines += ["matrix:"] + ["  " + " ".join(str(v) for v in row) for row in rows]
-    _emit(args, payload, lines)
-    return 0
+    return payload, lines
 
 
-def cmd_gauss(args) -> int:
+def cmd_gauss(args) -> tuple[dict, Iterable[str]]:
     F = build_ext_field(args.q, args.k)
     beta = F.alpha_pow(args.beta)
     g = gauss_sum(args.j, beta, F)
@@ -138,8 +130,7 @@ def cmd_gauss(args) -> int:
         f"gamma     {g.gamma:.12f}",
         f"magnitude {g.magnitude:.12f}",
     ]
-    _emit(args, payload, lines)
-    return 0
+    return payload, lines
 
 
 def _spectrum(spec, method: str):
@@ -153,7 +144,7 @@ def _spectrum(spec, method: str):
     return a
 
 
-def cmd_weights(args) -> int:
+def cmd_weights(args) -> tuple[dict, Iterable[str]]:
     spec = irreducible_cyclic_code(args.q, args.k, args.N)
     spectrum = _spectrum(spec, args.method)
     payload = {
@@ -165,11 +156,10 @@ def cmd_weights(args) -> int:
     lines = [f"[{spec.n},{spec.k}] code over GF({spec.q}), method={args.method}"] + [
         f"A_{w} = {spectrum.counts[w]}" for w in sorted(spectrum.counts)
     ]
-    _emit(args, payload, lines)
-    return 0
+    return payload, lines
 
 
-def cmd_dual(args) -> int:
+def cmd_dual(args) -> tuple[dict, Iterable[str]]:
     spec = irreducible_cyclic_code(args.q, args.k, args.N)
     # q^(n-k) has floor((n-k) log10 q) + 1 digits
     if (spec.n - spec.k) * math.log10(spec.q) >= MAX_DUAL_DIGITS:
@@ -188,11 +178,10 @@ def cmd_dual(args) -> int:
     lines = [f"dual of the [{spec.n},{spec.k}] code over GF({spec.q})"] + [
         f"A'_{w} = {dual.spectrum.counts[w]}" for w in sorted(dual.spectrum.counts)
     ]
-    _emit(args, payload, lines)
-    return 0
+    return payload, lines
 
 
-def cmd_theta(args) -> int:
+def cmd_theta(args) -> tuple[dict, Iterable[str]]:
     spec = irreducible_cyclic_code(args.q, args.k, args.N)
     t = theta(spec)
     bound = _bound(spec, t)
@@ -207,11 +196,10 @@ def cmd_theta(args) -> int:
         f"all nonzero weights divisible by q^(theta-1) = {spec.q ** (t - 1)}",
         f"epsilon bound = {bound!r}",
     ]
-    _emit(args, payload, lines)
-    return 0
+    return payload, lines
 
 
-def cmd_icq_check(args) -> int:
+def cmd_icq_check(args) -> tuple[dict, Iterable[str]]:
     report = icq_membership(IcqParams.from_code_params(args.q, args.k, args.N,
                                                        args.epsilon))
     payload = report.to_dict()
@@ -223,11 +211,10 @@ def cmd_icq_check(args) -> int:
         f"member: {report.member}"
         + (f"  failures: {', '.join(report.failures)}" if report.failures else ""),
     ]
-    _emit(args, payload, lines)
-    return 0
+    return payload, lines
 
 
-def cmd_pipeline(args) -> int:
+def cmd_pipeline(args) -> tuple[dict, Iterable[str]]:
     if not 1 <= args.trials <= MAX_TRIALS:
         raise InvalidParameters(f"--trials {args.trials} must be in [1, {MAX_TRIALS}]")
     # d = gcd(N, (q^k - 1)/(q - 1)) is the order of the phases' character;
@@ -238,10 +225,9 @@ def cmd_pipeline(args) -> int:
         if args.trials * (d - 1) > MAX_DRAWS:
             raise InvalidParameters(f"{args.trials} trials of {d - 1} phase draws each "
                                     f"exceed the draw limit {MAX_DRAWS}")
+    reports = run_pipeline_trials(args.q, args.k, args.N, args.epsilon,
+                                  range(args.seed, args.seed + args.trials), args.force)
     if args.trials > 1:
-        seeds = range(args.seed, args.seed + args.trials)
-        reports = run_pipeline_trials(args.q, args.k, args.N, args.epsilon,
-                                      seeds, force=args.force)
         exact_count = sum(r.exact for r in reports)
         payload = {
             "q": args.q, "k": args.k, "N": args.N,
@@ -252,11 +238,8 @@ def cmd_pipeline(args) -> int:
         lines = [f"seed {r.seed}: {'exact' if r.exact else 'DEVIATED'}"
                  for r in reports]
         lines.append(f"exact in {exact_count}/{args.trials} trials")
-        _emit(args, payload, lines)
-        return 0
-    report = run_pipeline(args.q, args.k, args.N, args.epsilon, args.seed,
-                          force=args.force)
-    payload = {"report": report.to_dict()}
+        return payload, lines
+    report = reports[0]
     spectrum = report.recovered_spectrum
     lines = [
         f"[{report.n},{report.k}] code over GF({report.q}), N={report.N}",
@@ -266,8 +249,7 @@ def cmd_pipeline(args) -> int:
                                  for w in sorted(spectrum.counts)),
         f"exact: {report.exact}",
     ]
-    _emit(args, payload, lines)
-    return 0
+    return {"report": report.to_dict()}, lines
 
 
 # ---------------------------------------------------------------------------
@@ -284,30 +266,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_json(p):
-        p.add_argument("--json", action="store_true", help="emit JSON")
+    # q k N of an irreducible cyclic code, shared by the subcommands that take one
+    code_args = argparse.ArgumentParser(add_help=False)
+    for name in ("q", "k", "N"):
+        code_args.add_argument(name, type=int)
 
     p = sub.add_parser("cosets", help="p-cyclotomic cosets of {0..N-1}")
     p.add_argument("N", type=int)
     p.add_argument("p", type=int)
     p.add_argument("--members", action="store_true",
                    help="include member lists in JSON output")
-    add_json(p)
     p.set_defaults(func=cmd_cosets)
 
     p = sub.add_parser("factor", help="factor x^n - 1 over GF(q)")
     p.add_argument("n", type=int)
     p.add_argument("q", type=int)
-    add_json(p)
     p.set_defaults(func=cmd_factor)
 
-    p = sub.add_parser("code", help="build an irreducible cyclic code")
-    p.add_argument("q", type=int)
-    p.add_argument("k", type=int)
-    p.add_argument("N", type=int)
+    p = sub.add_parser("code", parents=[code_args], help="build an irreducible cyclic code")
     p.add_argument("--matrix", action="store_true", help="print generator matrix")
-    add_json(p)
     p.set_defaults(func=cmd_code)
 
     p = sub.add_parser("gauss", help="Gauss sum G(chi_j, e_beta) over GF(q^k)")
@@ -316,56 +293,46 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("j", type=int)
     p.add_argument("--beta", type=int, default=0, metavar="M",
                    help="beta = alpha^M (default 0, i.e. beta = 1)")
-    add_json(p)
     p.set_defaults(func=cmd_gauss)
 
     for name, handler in (("weights", cmd_weights), ("dual", cmd_dual)):
-        p = sub.add_parser(name, help=f"{name} of an irreducible cyclic code")
-        p.add_argument("q", type=int)
-        p.add_argument("k", type=int)
-        p.add_argument("N", type=int)
+        p = sub.add_parser(name, parents=[code_args],
+                           help=f"{name} of an irreducible cyclic code")
         p.add_argument("--method", choices=("mceliece", "brute", "both"),
                        default="mceliece")
-        add_json(p)
         p.set_defaults(func=handler)
 
-    p = sub.add_parser("theta", help="divisibility exponent and epsilon bound")
-    p.add_argument("q", type=int)
-    p.add_argument("k", type=int)
-    p.add_argument("N", type=int)
-    add_json(p)
+    p = sub.add_parser("theta", parents=[code_args],
+                       help="divisibility exponent and epsilon bound")
     p.set_defaults(func=cmd_theta)
 
-    p = sub.add_parser("icq-check", help="class membership check")
-    p.add_argument("q", type=int)
-    p.add_argument("k", type=int)
-    p.add_argument("N", type=int)
+    p = sub.add_parser("icq-check", parents=[code_args], help="class membership check")
     p.add_argument("--epsilon", type=float, required=True)
-    add_json(p)
     p.set_defaults(func=cmd_icq_check)
 
-    p = sub.add_parser("pipeline", help="noisy-oracle recovery simulation")
-    p.add_argument("q", type=int)
-    p.add_argument("k", type=int)
-    p.add_argument("N", type=int)
+    p = sub.add_parser("pipeline", parents=[code_args],
+                       help="noisy-oracle recovery simulation")
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--trials", type=int, default=1)
     p.add_argument("--force", action="store_true",
                    help="run even when the membership check fails")
-    add_json(p)
     p.set_defaults(func=cmd_pipeline)
 
+    # last, so that --json ends every usage line
+    for p in sub.choices.values():
+        p.add_argument("--json", action="store_true", help="emit JSON")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        _emit(args, *args.func(args))
     except CycenumError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 def run() -> None:

@@ -299,14 +299,21 @@ def build_ext_field(q: int, k: int) -> ExtField:
 
 def _check_field_params(q: int, k: int) -> None:
     """Raise unless GF(q**k) is a field within the table cap. The cap
-    comes first, and k >= 23 is over it for any q >= 2, because q**k for
-    a huge k, or trial division of a huge q, would not finish."""
+    comes before primality, as trial division of a huge q would not
+    finish."""
     if k < 1:
         raise InvalidParameters("extension degree must be >= 1")
+    _check_table_cap(q, k)
+    check_prime(q)
+
+
+def _check_table_cap(q: int, k: int) -> None:
+    """Raise TableCapExceeded if q > 1 and q**k is over the table cap;
+    k >= 23 is over it for any such q, so q**k is never formed for a
+    huge k."""
     if q > 1 and (q > DEFAULT_TABLE_CAP or k >= DEFAULT_TABLE_CAP.bit_length()
                   or q**k > DEFAULT_TABLE_CAP):
         raise TableCapExceeded(f"{q}^{k} exceeds table cap {DEFAULT_TABLE_CAP}")
-    check_prime(q)
 
 
 @lru_cache(maxsize=64)

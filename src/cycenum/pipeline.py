@@ -29,6 +29,7 @@ import numpy as np
 from .codes import CodeSpec, irreducible_cyclic_code
 from .cosets import multiplicative_order
 from .errors import InvalidParameters, MembershipFailed, NonIntegralTheta
+from .field import _check_table_cap
 from .weights import WeightSpectrum, _exact_spectrum, _formula_inputs, _s_values, _tally
 
 __all__ = [
@@ -107,7 +108,7 @@ class IcqParams:
 
     @classmethod
     def from_code_params(cls, q: int, k: int, N: int, epsilon: float) -> "IcqParams":
-        return cls(q=q, k=k, alpha=float(N), s=0.0, epsilon=epsilon)
+        return cls(q=q, k=k, alpha=N, s=0, epsilon=epsilon)
 
 
 class _Report:
@@ -152,6 +153,7 @@ def _membership(params: IcqParams) -> tuple[MembershipReport, CodeSpec | None]:
     """icq_membership's report, and the code if the n and order clauses
     let it be built."""
     q, k, N, eps = params.q, params.k, params.N, params.epsilon
+    _check_table_cap(q, k)
     failures: list[str] = []
     if not eps < 1:
         failures.append("EpsilonNotBelowOne")
@@ -223,61 +225,6 @@ class PipelineReport(_Report):
         return super().from_dict({**d, "recovered_spectrum": spectrum})
 
 
-_BLOCK_CELLS = 1 << 16
-
-
-class _PipelineContext:
-    """Per-code state shared across trials: code, theta, cosets,
-    character matrix, exact phases, and the reference spectrum and exact
-    per-leader weights they give."""
-
-    def __init__(self, spec: CodeSpec, theta_val: int):
-        self.spec = spec
-        self.cosets, self.chi, self.gammas = _formula_inputs(spec)
-        self.d = len(self.gammas) + 1
-        self.theta = theta_val
-        self.divisor = spec.q ** (theta_val - 1)
-        self.bound = _bound(spec, theta_val)
-        self.reference = _exact_spectrum(spec, self.cosets, self.chi, self.gammas)
-        self.exact_weights = np.rint(_s_values(spec, self.chi, self.gammas).real)
-
-    def run_seeds(self, epsilon: float, seeds: list[int]) -> list[PipelineReport]:
-        """One report per seed. Phase a of trial seed is
-        noisy_gauss_oracle(gamma_a, epsilon, seed*100003 + a): the C seed
-        under Random.seed gets that int unchanged, and lo + span*u are
-        uniform's own float operations, so every draw is bit-identical."""
-        spec, d, divisor = self.spec, self.d, self.divisor
-        rng = random.Random()
-        reseed, rand = super(random.Random, rng).seed, rng.random
-        u = np.empty((len(seeds), d - 1))
-        for i, seed in enumerate(seeds):
-            base = seed * 100003
-            u[i] = [reseed(base + a) or rand() for a in range(1, d)]
-        lo = -epsilon
-        noisy = self.gammas + (lo + (epsilon - lo) * u)
-        # stacked matvecs: the same product per trial as a 1-D phase vector
-        rounded = np.rint(_s_values(spec, self.chi, noisy[:, :, None])[..., 0].real / divisor)
-        as_reference = (rounded * divisor == self.exact_weights).all(axis=1)
-        reports = []
-        for seed, errors, row, same in zip(seeds, (noisy - self.gammas).tolist(),
-                                           rounded, as_reference.tolist()):
-            if same:
-                recovered = WeightSpectrum(dict(self.reference.counts), spec.n)
-            else:
-                recovered = _tally(spec, [int(w) * divisor for w in row], self.cosets)
-            reports.append(PipelineReport(
-                q=spec.q, k=spec.k, N=spec.N, n=spec.n,
-                epsilon=epsilon, seed=seed,
-                theta=self.theta, epsilon_bound=self.bound,
-                d=d, num_cosets=len(self.cosets),
-                oracle_calls=d - 1,
-                injected_errors=errors,
-                recovered_spectrum=recovered,
-                exact=recovered.counts == self.reference.counts,
-            ))
-        return reports
-
-
 def run_pipeline(q: int, k: int, N: int, epsilon: float, seed: int,
                  force: bool = False) -> PipelineReport:
     """One noisy recovery run: build the code, sieve the cosets, perturb
@@ -291,12 +238,20 @@ def run_pipeline(q: int, k: int, N: int, epsilon: float, seed: int,
     return run_pipeline_trials(q, k, N, epsilon, [seed], force)[0]
 
 
+_BLOCK_CELLS = 1 << 16
+
+
 def run_pipeline_trials(q: int, k: int, N: int, epsilon: float, seeds,
                         force: bool = False) -> list[PipelineReport]:
     """run_pipeline over many seeds, with the code and its theta built
     only once, by the membership check. Forced past a failed n, order or
     theta clause, it raises InvalidParameters or NonIntegralTheta, as it
-    does for a seed that is not an integer."""
+    does for a seed that is not an integer.
+
+    Phase a of trial seed is noisy_gauss_oracle(gamma_a, epsilon,
+    seed*100003 + a): the C seed under Random.seed gets that int
+    unchanged, and lo + span*u are uniform's own float operations, so
+    every draw is bit-identical."""
     try:
         seeds = [operator.index(seed) for seed in seeds]
     except TypeError as exc:
@@ -308,9 +263,40 @@ def run_pipeline_trials(q: int, k: int, N: int, epsilon: float, seeds,
         # forced past a failed clause: building the code, or its theta,
         # raises that clause's error
         theta(spec or irreducible_cyclic_code(q, k, N))
-    ctx = _PipelineContext(spec, membership.theta)
+    cosets, chi, gammas = _formula_inputs(spec)
+    reference, exact_weights = _exact_spectrum(spec, cosets, chi, gammas)
+    d, divisor = len(gammas) + 1, q ** (membership.theta - 1)
+    rng = random.Random()
+    reseed, rand = super(random.Random, rng).seed, rng.random
+    lo = -epsilon
     # blocks of trials keep the draw and S-value arrays near _BLOCK_CELLS
     # values each, however many trials there are
-    step = max(1, _BLOCK_CELLS // (ctx.d + len(ctx.cosets)))
-    return [report for i in range(0, len(seeds), step)
-            for report in ctx.run_seeds(epsilon, seeds[i:i + step])]
+    step = max(1, _BLOCK_CELLS // (d + len(cosets)))
+    reports = []
+    for start in range(0, len(seeds), step):
+        block = seeds[start:start + step]
+        u = np.empty((len(block), d - 1))
+        for i, seed in enumerate(block):
+            base = seed * 100003
+            u[i] = [reseed(base + a) or rand() for a in range(1, d)]
+        noisy = gammas + (lo + (epsilon - lo) * u)
+        # stacked matvecs: the same product per trial as a 1-D phase vector
+        rounded = np.rint(_s_values(spec, chi, noisy[:, :, None])[..., 0].real / divisor)
+        as_reference = (rounded * divisor == exact_weights).all(axis=1)
+        for seed, errors, row, same in zip(block, (noisy - gammas).tolist(),
+                                           rounded, as_reference.tolist()):
+            if same:
+                recovered = WeightSpectrum(dict(reference.counts), spec.n)
+            else:
+                recovered = _tally(spec, [int(w) * divisor for w in row], cosets)
+            reports.append(PipelineReport(
+                q=spec.q, k=spec.k, N=spec.N, n=spec.n,
+                epsilon=epsilon, seed=seed,
+                theta=membership.theta, epsilon_bound=membership.epsilon_bound,
+                d=d, num_cosets=len(cosets),
+                oracle_calls=d - 1,
+                injected_errors=errors,
+                recovered_spectrum=recovered,
+                exact=recovered.counts == reference.counts,
+            ))
+    return reports

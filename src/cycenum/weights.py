@@ -136,7 +136,8 @@ def _formula_inputs(spec: CodeSpec):
     return cosets, _characters([c.leader for c in cosets], len(gamma) + 1), gamma
 
 
-def _exact_spectrum(spec: CodeSpec, cosets, chi, gamma) -> WeightSpectrum:
+def _exact_spectrum(spec: CodeSpec, cosets, chi, gamma) -> tuple[WeightSpectrum, np.ndarray]:
+    """The spectrum at the exact phases, and the rounded weight per leader."""
     values = _real(_s_values(spec, chi, gamma))
     weights = np.rint(values)
     residue = np.abs(values - weights)
@@ -144,7 +145,7 @@ def _exact_spectrum(spec: CodeSpec, cosets, chi, gamma) -> WeightSpectrum:
         i = int(residue.argmax())
         raise NonIntegerWeight(
             f"S({cosets[i].leader}) = {float(values[i])!r} is not near an integer")
-    return _validated(_tally(spec, weights.astype(int).tolist(), cosets), spec)
+    return _validated(_tally(spec, weights.astype(int).tolist(), cosets), spec), weights
 
 
 def weight_spectrum_mceliece(spec: CodeSpec) -> WeightSpectrum:
@@ -154,7 +155,7 @@ def weight_spectrum_mceliece(spec: CodeSpec) -> WeightSpectrum:
     integer (the residue must stay below 1e-6), tallies with coset sizes
     as multiplicities, scales by n for cyclic shifts, and inserts A_0 = 1.
     """
-    return _exact_spectrum(spec, *_formula_inputs(spec))
+    return _exact_spectrum(spec, *_formula_inputs(spec))[0]
 
 
 def _validated(spectrum: WeightSpectrum, spec: CodeSpec) -> WeightSpectrum:

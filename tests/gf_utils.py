@@ -207,10 +207,12 @@ def reference_field(q, k):
     acc = 1
     for i in range(group_order):
         exp_table[i] = acc
-        assert log_table[acc] is None, "alpha has order below q^k - 1"
+        if log_table[acc] is not None:
+            raise OrderMismatch("alpha has order below q^k - 1")
         log_table[acc] = i
         acc = _mul_raw(acc, alpha, modulus, q, k)
-    assert acc == 1
+    if acc != 1:
+        raise OrderMismatch("alpha^(q^k - 1) != 1")
 
     def trace(m):  # Tr(alpha**m)
         acc = 0

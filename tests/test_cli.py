@@ -224,15 +224,16 @@ def test_invalid_sizes_exit_1_without_traceback(argv):
     ["dual", "2", "16", "3"],
     ["dual", "3", "10", "4", "--json"],
     ["factor", "262143", "2"],
+    ["factor", "93331", "2"],
     ["pipeline", "2", "22", "6141", "--epsilon", "0.001", "--seed", "1",
      "--trials", "100000", "--force"],
 ])
 def test_input_budget_refused_before_work(argv):
     # a sieve of 10^12 marks, 10^12 trial reports, a splitting field of
     # degree 9090, a dual count of 6572 digits, a product chain of 14601
-    # factors (68 s) or 614 million phase draws would not finish or not
-    # print; the caps refuse them first (about 0.4 s per run, mostly
-    # interpreter start)
+    # factors (68 s), 486 minimal polynomials of degree 198 (50 s) or 614
+    # million phase draws would not finish or not print; the caps refuse
+    # them first (about 0.4 s per run, mostly interpreter start)
     run = _run_module(*argv, timeout=10)
     assert run.returncode == 1
     assert run.stderr.startswith("InvalidParameters:")
@@ -240,13 +241,13 @@ def test_input_budget_refused_before_work(argv):
 
 
 def test_limits_are_inclusive(capsys, monkeypatch):
-    # ord_15(2) = 4, x^15 - 1 has 5 factors over GF(2), the dual of the
-    # [15,4] code has 2^11 = 2048 words, and 2 trials of the [5,4] code
-    # (d = 3) draw 4 phases
+    # ord_15(2) = 4, x^15 - 1 has 5 factors over GF(2), so the factor work
+    # estimate is 15^2 + 10 * 5 * 4^3, the dual of the [15,4] code has
+    # 2^11 = 2048 words, and 2 trials of the [5,4] code (d = 3) draw 4 phases
     pipeline = ["pipeline", "2", "4", "3", "--epsilon", "0.125", "--seed", "7",
                 "--trials", "2"]
     for name, limit, argv in (("MAX_FACTOR_DEGREE", 4, ["factor", "15", "2"]),
-                              ("MAX_FACTOR_COUNT", 5, ["factor", "15", "2"]),
+                              ("MAX_FACTOR_WORK", 15**2 + 10 * 5 * 4**3, ["factor", "15", "2"]),
                               ("MAX_DUAL_DIGITS", 4, ["dual", "2", "4", "1"]),
                               ("MAX_DRAWS", 4, pipeline)):
         with monkeypatch.context() as patch:
@@ -298,13 +299,65 @@ def test_factor_at_the_degree_limit():
 
 
 def test_table_cap_checked_before_primality_and_q_pow_k():
-    # trial division of 2^61 - 1, or the order of 2 mod (2^1000000 - 1)/3,
-    # would not finish; the cap must reject both first
+    # trial division of 2^61 - 1, the order of 2 mod (2^1000000 - 1)/3,
+    # 2^1000000 - 1 modulo 3 in the membership check (about 23 s), or
+    # 2^(2^61 - 1) would not finish; the cap must reject them all first,
+    # and an over-cap code whose n clause fails as `code 2 30 2` is
     for argv in (["gauss", "2305843009213693951", "1", "1"],
-                 ["code", "2", "1000000", "3"]):
-        run = _run_module(*argv, timeout=20)
-        assert run.returncode == 1, argv
+                 ["code", "2", "1000000", "3"],
+                 ["icq-check", "2", "1000000", "3", "--epsilon", "0.1"],
+                 ["pipeline", "2", "2305843009213693951", "3", "--epsilon", "0.1",
+                  "--seed", "1"],
+                 ["icq-check", "2", "30", "2", "--epsilon", "0.1", "--json"]):
+        run = _run_module(*argv, timeout=5)
+        assert (run.returncode, run.stdout) == (1, ""), argv
         assert run.stderr.startswith("TableCapExceeded"), argv
+
+
+def test_membership_keeps_N_an_exact_int(capsys):
+    # N past the float range, or past 2^53, must reach the n clause as the
+    # int it is: no OverflowError, no rounding to 9007199254740992
+    huge = str(10**400)
+    code, out, err = run_cli(capsys, "icq-check", "2", "4", huge, "--epsilon", "0.1")
+    assert (code, err) == (0, "")
+    assert "n integral:   False" in out
+    code, out, err = run_cli(capsys, "icq-check", "2", "4", "9007199254740993",
+                             "--epsilon", "0.1", "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["N"] == 2**53 + 1
+    assert run_cli(capsys, "pipeline", "2", "4", huge, "--epsilon", "0.1", "--seed", "1") \
+        == (1, "", "MembershipFailed: IntegralityFailed\n")
+
+
+# one small valid argv per subcommand, and the --trials form of pipeline
+HANDLER_ARGV = [
+    ["cosets", "16", "3"],
+    ["factor", "15", "2"],
+    ["code", "2", "4", "3", "--matrix"],
+    ["gauss", "2", "4", "5"],
+    ["weights", "2", "4", "3", "--method", "both"],
+    ["dual", "2", "4", "1"],
+    ["theta", "2", "4", "3"],
+    ["icq-check", "2", "4", "1", "--epsilon", "0.6"],
+    ["pipeline", "2", "4", "3", "--epsilon", "0.125", "--seed", "7"],
+    ["pipeline", "2", "4", "3", "--epsilon", "0.125", "--seed", "0", "--trials", "3"],
+]
+
+
+@pytest.mark.parametrize("argv", HANDLER_ARGV, ids=" ".join)
+def test_handlers_return_their_output(capsys, argv):
+    # a handler prints nothing: it returns (payload, lines), and main alone
+    # writes them
+    for extra in ([], ["--json"]):
+        args = cli.build_parser().parse_args(argv + extra)
+        payload, lines = args.func(args)
+        assert capsys.readouterr() == ("", "")
+        code, out, err = run_cli(capsys, *argv, *extra)
+        assert (code, err) == (0, "")
+        if extra:
+            assert out == json.dumps({"schema": 1, **payload}, sort_keys=True) + "\n"
+        else:
+            assert out == "".join(line + "\n" for line in lines)
 
 
 def test_pipeline_membership_failure_exit_code(capsys):
