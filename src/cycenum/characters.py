@@ -53,10 +53,6 @@ class GaussSumValue:
             "magnitude": self.magnitude,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "GaussSumValue":
-        return cls(complex(d["re"], d["im"]), d["gamma"], d["magnitude"])
-
 
 def _phase(value: complex) -> float:
     if abs(value) < 1e-12:

@@ -73,7 +73,7 @@ def cmd_cosets(args) -> tuple[dict, Iterable[str]]:
         part = coset_leaders(args.N, args.p)
     else:
         part = cosets_full(args.N, args.p)
-    payload = part.to_dict(with_members=args.members or not args.json)
+    payload = part.to_dict()
     lines = ["{" + ",".join(str(m) for m in c.members) + "}" for c in part.cosets] \
         if part.cosets and part.cosets[0].members is not None else []
     return payload, lines
@@ -184,7 +184,7 @@ def cmd_dual(args) -> tuple[dict, Iterable[str]]:
 def cmd_theta(args) -> tuple[dict, Iterable[str]]:
     spec = irreducible_cyclic_code(args.q, args.k, args.N)
     t = theta(spec)
-    bound = _bound(spec, t)
+    bound = _bound(spec.q, spec.k, t)
     payload = {
         "q": spec.q, "k": spec.k, "N": spec.N, "n": spec.n,
         "theta": t,
@@ -200,8 +200,7 @@ def cmd_theta(args) -> tuple[dict, Iterable[str]]:
 
 
 def cmd_icq_check(args) -> tuple[dict, Iterable[str]]:
-    report = icq_membership(IcqParams.from_code_params(args.q, args.k, args.N,
-                                                       args.epsilon))
+    report = icq_membership(IcqParams(args.q, args.k, args.N, args.epsilon))
     payload = report.to_dict()
     lines = [
         f"n integral:   {report.n_integral} (n = {report.n})",

@@ -32,9 +32,9 @@ class Coset:
     size: int
     members: tuple[int, ...] | None = None
 
-    def to_dict(self, with_members: bool = True) -> dict:
+    def to_dict(self) -> dict:
         d = {"leader": self.leader, "size": self.size}
-        if with_members and self.members is not None:
+        if self.members is not None:
             d["members"] = list(self.members)
         return d
 
@@ -51,21 +51,12 @@ class CosetPartition:
     def num_cosets(self) -> int:
         return len(self.cosets)
 
-    def to_dict(self, with_members: bool = True) -> dict:
+    def to_dict(self) -> dict:
         return {
             "N": self.N,
             "p": self.p,
-            "cosets": [c.to_dict(with_members) for c in self.cosets],
+            "cosets": [c.to_dict() for c in self.cosets],
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CosetPartition":
-        cosets = tuple(
-            Coset(c["leader"], c["size"],
-                  tuple(c["members"]) if "members" in c else None)
-            for c in d["cosets"]
-        )
-        return cls(d["N"], d["p"], cosets)
 
 
 def _validate(N: int, p: int) -> None:

@@ -22,14 +22,15 @@ noiseless one; the pipeline reports whether it did.
 import math
 import operator
 import random
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .codes import CodeSpec, irreducible_cyclic_code
-from .cosets import multiplicative_order
+from .cosets import coset_count_formula, multiplicative_order
 from .errors import InvalidParameters, MembershipFailed, NonIntegralTheta
 from .field import _check_table_cap
+from .intmath import check_prime
 from .weights import WeightSpectrum, _exact_spectrum, _formula_inputs, _s_values, _tally
 
 __all__ = [
@@ -59,6 +60,13 @@ def digit_sum(x: int, q: int) -> int:
     return total
 
 
+def _theta(q: int, n: int, N: int) -> int:
+    best = min(digit_sum(j * n, q) for j in range(1, N + 1))
+    if best % (q - 1) != 0:
+        raise NonIntegralTheta(f"min digit sum {best} is not divisible by q - 1 = {q - 1}")
+    return best // (q - 1)
+
+
 def theta(spec: CodeSpec) -> int:
     """Divisibility exponent: min over 0 < j <= N of digit_sum(j*n)/(q-1).
 
@@ -66,64 +74,44 @@ def theta(spec: CodeSpec) -> int:
     minimum digit sum must itself be divisible by q-1; a violation raises
     NonIntegralTheta rather than truncating.
     """
-    best = min(digit_sum(j * spec.n, spec.q) for j in range(1, spec.N + 1))
-    if best % (spec.q - 1) != 0:
-        raise NonIntegralTheta(
-            f"min digit sum {best} is not divisible by q - 1 = {spec.q - 1}")
-    return best // (spec.q - 1)
+    return _theta(spec.q, spec.n, spec.N)
 
 
-def _bound(spec: CodeSpec, theta_val: int) -> float:
-    return spec.q ** (theta_val - 1) / (4.0 * math.sqrt(spec.field.order))
+def _bound(q: int, k: int, theta_val: int) -> float:
+    return q ** (theta_val - 1) / (4.0 * math.sqrt(q**k))
 
 
 def epsilon_bound(spec: CodeSpec) -> float:
     """Largest phase error that still guarantees exact recovery."""
-    return _bound(spec, theta(spec))
+    return _bound(spec.q, spec.k, theta(spec))
+
+
+def _check_epsilon(epsilon: float) -> None:
+    # noise is drawn by random.uniform(-epsilon, epsilon), which scales
+    # by 2 * epsilon: that must be finite, so NaN and inf are refused too
+    if not (epsilon > 0 and math.isfinite(2 * epsilon)):
+        raise InvalidParameters(f"epsilon = {epsilon} must be positive and "
+                                "at most half the largest float")
 
 
 @dataclass(frozen=True)
 class IcqParams:
-    """Parameters of a candidate code: n = (q**k - 1)/(alpha * k**s)."""
+    """Parameters of a candidate code: n = (q**k - 1)/N, where the paper's
+    class has N = alpha * k**s."""
 
     q: int
     k: int
-    alpha: float
-    s: float
+    N: int
     epsilon: float
 
     def __post_init__(self):
-        N = self.alpha * self.k**self.s
-        if N <= 0 or abs(N - round(N)) > 1e-9:
-            raise InvalidParameters(f"N = alpha * k^s = {N} is not a positive integer")
-        # noise is drawn by random.uniform(-epsilon, epsilon), which scales
-        # by 2 * epsilon: that must be finite, so NaN and inf are refused too
-        if not (self.epsilon > 0 and math.isfinite(2 * self.epsilon)):
-            raise InvalidParameters(f"epsilon = {self.epsilon} must be positive and "
-                                    "at most half the largest float")
-
-    @property
-    def N(self) -> int:
-        return round(self.alpha * self.k**self.s)
-
-    @classmethod
-    def from_code_params(cls, q: int, k: int, N: int, epsilon: float) -> "IcqParams":
-        return cls(q=q, k=k, alpha=N, s=0, epsilon=epsilon)
-
-
-class _Report:
-    """JSON form of a report dataclass: its fields, in declaration order."""
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict):
-        return cls(**{f.name: d[f.name] for f in fields(cls)})
+        if self.N <= 0:
+            raise InvalidParameters(f"N = alpha * k^s = {self.N} is not a positive integer")
+        _check_epsilon(self.epsilon)
 
 
 @dataclass
-class MembershipReport(_Report):
+class MembershipReport:
     """Clause-by-clause result of the class-membership check."""
 
     q: int
@@ -139,19 +127,17 @@ class MembershipReport(_Report):
     member: bool
     failures: list[str]
 
+    to_dict = asdict
+
 
 def icq_membership(params: IcqParams) -> MembershipReport:
     """Check the three membership clauses, returning all diagnostics.
 
     Failures are decisions, not errors: n integral, ord_n(q) = k, and
-    epsilon within the recovery bound are each reported separately.
+    epsilon within the recovery bound are each reported separately. Each
+    clause is integer arithmetic on q, k and N, theta included, so no
+    field is built; q must be prime once the n and order clauses pass.
     """
-    return _membership(params)[0]
-
-
-def _membership(params: IcqParams) -> tuple[MembershipReport, CodeSpec | None]:
-    """icq_membership's report, and the code if the n and order clauses
-    let it be built."""
     q, k, N, eps = params.q, params.k, params.N, params.epsilon
     _check_table_cap(q, k)
     failures: list[str] = []
@@ -165,25 +151,24 @@ def _membership(params: IcqParams) -> tuple[MembershipReport, CodeSpec | None]:
     order_ok = bool(n_integral and multiplicative_order(q, n) == k)
     if n_integral and not order_ok:
         failures.append("OrderCheckFailed")
-    spec = theta_val = bound = epsilon_ok = None
-    if n_integral and order_ok:
-        spec = irreducible_cyclic_code(q, k, N)
+    theta_val = bound = epsilon_ok = None
+    if order_ok:
+        check_prime(q)
         try:
-            theta_val = theta(spec)
+            theta_val = _theta(q, n, N)
         except NonIntegralTheta:
             failures.append("NonIntegralTheta")
         else:
-            bound = _bound(spec, theta_val)
+            bound = _bound(q, k, theta_val)
             epsilon_ok = eps <= bound
             if not epsilon_ok:
                 failures.append("EpsilonExceedsBound")
-    report = MembershipReport(
+    return MembershipReport(
         q=q, k=k, N=N, epsilon=eps,
         n_integral=n_integral, order_ok=order_ok, n=n,
         theta=theta_val, epsilon_bound=bound, epsilon_ok=epsilon_ok,
         member=not failures, failures=failures,
     )
-    return report, spec
 
 
 def noisy_gauss_oracle(true_gamma: float, epsilon: float, seed: int) -> float:
@@ -192,13 +177,12 @@ def noisy_gauss_oracle(true_gamma: float, epsilon: float, seed: int) -> float:
     The generator is the named stdlib Mersenne Twister seeded with the
     given integer, so identical seeds reproduce identical perturbations.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    _check_epsilon(epsilon)
     return true_gamma + random.Random(seed).uniform(-epsilon, epsilon)
 
 
 @dataclass
-class PipelineReport(_Report):
+class PipelineReport:
     """Everything one noisy recovery run produced."""
 
     q: int
@@ -219,11 +203,6 @@ class PipelineReport(_Report):
     def to_dict(self) -> dict:
         return {**asdict(self), "recovered_spectrum": self.recovered_spectrum.to_dict()}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "PipelineReport":
-        spectrum = WeightSpectrum.from_dict(d["recovered_spectrum"], d["n"])
-        return super().from_dict({**d, "recovered_spectrum": spectrum})
-
 
 def run_pipeline(q: int, k: int, N: int, epsilon: float, seed: int,
                  force: bool = False) -> PipelineReport:
@@ -243,10 +222,10 @@ _BLOCK_CELLS = 1 << 16
 
 def run_pipeline_trials(q: int, k: int, N: int, epsilon: float, seeds,
                         force: bool = False) -> list[PipelineReport]:
-    """run_pipeline over many seeds, with the code and its theta built
-    only once, by the membership check. Forced past a failed n, order or
-    theta clause, it raises InvalidParameters or NonIntegralTheta, as it
-    does for a seed that is not an integer.
+    """run_pipeline over many seeds, with the code built and its theta
+    computed only once. Forced past a failed n, order or theta clause, it
+    raises InvalidParameters or NonIntegralTheta, as it does for a seed
+    that is not an integer.
 
     Phase a of trial seed is noisy_gauss_oracle(gamma_a, epsilon,
     seed*100003 + a): the C seed under Random.seed gets that int
@@ -256,22 +235,24 @@ def run_pipeline_trials(q: int, k: int, N: int, epsilon: float, seeds,
         seeds = [operator.index(seed) for seed in seeds]
     except TypeError as exc:
         raise InvalidParameters(f"seeds must be integers: {exc}") from None
-    membership, spec = _membership(IcqParams.from_code_params(q, k, N, epsilon))
+    membership = icq_membership(IcqParams(q, k, N, epsilon))
     if not membership.member and not force:
         raise MembershipFailed(", ".join(membership.failures))
+    # forced past a failed clause, building the code, or its theta,
+    # raises that clause's error
+    spec = irreducible_cyclic_code(q, k, N)
     if membership.theta is None:
-        # forced past a failed clause: building the code, or its theta,
-        # raises that clause's error
-        theta(spec or irreducible_cyclic_code(q, k, N))
-    cosets, chi, gammas = _formula_inputs(spec)
-    reference, exact_weights = _exact_spectrum(spec, cosets, chi, gammas)
+        theta(spec)
+    part, chi, gammas = _formula_inputs(spec)
+    reference, exact_weights = _exact_spectrum(spec, part, chi, gammas)
+    num_cosets = coset_count_formula(N, q)
     d, divisor = len(gammas) + 1, q ** (membership.theta - 1)
     rng = random.Random()
     reseed, rand = super(random.Random, rng).seed, rng.random
     lo = -epsilon
     # blocks of trials keep the draw and S-value arrays near _BLOCK_CELLS
     # values each, however many trials there are
-    step = max(1, _BLOCK_CELLS // (d + len(cosets)))
+    step = max(1, _BLOCK_CELLS // (d + len(part.cosets)))
     reports = []
     for start in range(0, len(seeds), step):
         block = seeds[start:start + step]
@@ -288,12 +269,12 @@ def run_pipeline_trials(q: int, k: int, N: int, epsilon: float, seeds,
             if same:
                 recovered = WeightSpectrum(dict(reference.counts), spec.n)
             else:
-                recovered = _tally(spec, [int(w) * divisor for w in row], cosets)
+                recovered = _tally(spec, [int(w) * divisor for w in row], part)
             reports.append(PipelineReport(
                 q=spec.q, k=spec.k, N=spec.N, n=spec.n,
                 epsilon=epsilon, seed=seed,
                 theta=membership.theta, epsilon_bound=membership.epsilon_bound,
-                d=d, num_cosets=len(cosets),
+                d=d, num_cosets=num_cosets,
                 oracle_calls=d - 1,
                 injected_errors=errors,
                 recovered_spectrum=recovered,

@@ -1,14 +1,16 @@
 """Weight spectra of irreducible cyclic codes.
 
 One routine, _s_values, evaluates the Gauss-sum weight formula S(b) at
-every q-cyclotomic coset leader b of {0, ..., N-1} in one matrix product;
-_tally turns one weight per leader into a spectrum. weight_spectrum_mceliece
-and the noisy recovery pipeline both go through them, with the Gauss sums
-computed once per code. weight_spectrum_bruteforce is the independent
-oracle the formula is tested against: it reads every trace letter from
-the field tables, as the weight of column r of Tr(alpha**m) reshaped to
-n x N is the weight of the word of alpha**r and of its n cyclic shifts,
-so the whole spectrum costs O(q**k).
+every q-cyclotomic coset leader b of {0, ..., d-1} in one matrix product,
+d being the order of the phases' character (S(b) depends on b mod d
+alone); _tally turns one weight per leader into a spectrum.
+weight_spectrum_mceliece and the noisy recovery pipeline both go through
+them, with the Gauss sums computed once per code.
+weight_spectrum_bruteforce is the independent oracle the formula is
+tested against: it reads every trace letter from the field tables, as
+the weight of column r of Tr(alpha**m) reshaped to n x N is the weight of
+the word of alpha**r and of its n cyclic shifts, so the whole spectrum
+costs O(q**k).
 
 The MacWilliams transform is exact integer arithmetic on one of two
 paths, chosen from the input. With m distinct weights and 4m <= n it runs
@@ -63,10 +65,6 @@ class WeightSpectrum:
     def to_dict(self) -> dict:
         return {str(w): self.counts[w] for w in sorted(self.counts)}
 
-    @classmethod
-    def from_dict(cls, d: dict, n: int) -> "WeightSpectrum":
-        return cls({int(w): c for w, c in d.items()}, n)
-
 
 @dataclass
 class WeightEnumerator:
@@ -111,13 +109,15 @@ def _real(values: np.ndarray) -> np.ndarray:
     return values.real
 
 
-def _tally(spec: CodeSpec, weights, cosets) -> WeightSpectrum:
-    """Spectrum from one weight per coset leader: coset sizes are the
-    multiplicities, each word has n cyclic shifts, and A_0 = 1."""
+def _tally(spec: CodeSpec, weights, part) -> WeightSpectrum:
+    """Spectrum from one weight per leader of the cosets mod d: a coset of
+    size s covers s*N/d exponents b mod N, each word has n cyclic shifts,
+    and A_0 = 1."""
     tallies: dict[int, int] = {}
-    for w, coset in zip(weights, cosets):
+    for w, coset in zip(weights, part.cosets):
         tallies[w] = tallies.get(w, 0) + coset.size
-    counts = {w: spec.n * a for w, a in tallies.items()}
+    scale = spec.n * (spec.N // part.N)
+    counts = {w: scale * a for w, a in tallies.items()}
     counts[0] = counts.get(0, 0) + 1
     return WeightSpectrum(counts, spec.n)
 
@@ -130,13 +130,15 @@ def s_function(iota: int, gauss: list[GaussSumValue], spec: CodeSpec) -> float:
 
 
 def _formula_inputs(spec: CodeSpec):
-    """Coset leaders, their character matrix and the exact phases."""
+    """The cosets mod d, their leaders' character matrix and the exact
+    phases."""
     gamma = np.array([g.gamma for g in order_d_character_sums(spec)])
-    cosets = coset_leaders(spec.N, spec.q).cosets
-    return cosets, _characters([c.leader for c in cosets], len(gamma) + 1), gamma
+    d = len(gamma) + 1
+    part = coset_leaders(d, spec.q)
+    return part, _characters([c.leader for c in part.cosets], d), gamma
 
 
-def _exact_spectrum(spec: CodeSpec, cosets, chi, gamma) -> tuple[WeightSpectrum, np.ndarray]:
+def _exact_spectrum(spec: CodeSpec, part, chi, gamma) -> tuple[WeightSpectrum, np.ndarray]:
     """The spectrum at the exact phases, and the rounded weight per leader."""
     values = _real(_s_values(spec, chi, gamma))
     weights = np.rint(values)
@@ -144,8 +146,8 @@ def _exact_spectrum(spec: CodeSpec, cosets, chi, gamma) -> tuple[WeightSpectrum,
     if residue.max(initial=0.0) > WEIGHT_INT_TOL:
         i = int(residue.argmax())
         raise NonIntegerWeight(
-            f"S({cosets[i].leader}) = {float(values[i])!r} is not near an integer")
-    return _validated(_tally(spec, weights.astype(int).tolist(), cosets), spec), weights
+            f"S({part.cosets[i].leader}) = {float(values[i])!r} is not near an integer")
+    return _validated(_tally(spec, weights.astype(int).tolist(), part), spec), weights
 
 
 def weight_spectrum_mceliece(spec: CodeSpec) -> WeightSpectrum:
@@ -153,7 +155,8 @@ def weight_spectrum_mceliece(spec: CodeSpec) -> WeightSpectrum:
 
     Evaluates S at all coset leaders b_i at once, rounds to the nearest
     integer (the residue must stay below 1e-6), tallies with coset sizes
-    as multiplicities, scales by n for cyclic shifts, and inserts A_0 = 1.
+    times N/d as multiplicities, scales by n for cyclic shifts, and
+    inserts A_0 = 1.
     """
     return _exact_spectrum(spec, *_formula_inputs(spec))[0]
 

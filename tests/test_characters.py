@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 import random
 
@@ -163,7 +164,8 @@ def test_gauss_value_dict_roundtrip():
     F = build_ext_field(2, 4)
     g = gauss_sum(3, 1, F)
     d = g.to_dict()
-    assert GaussSumValue.from_dict(d) == g
+    assert json.loads(json.dumps(d)) == d
+    assert GaussSumValue(complex(d["re"], d["im"]), d["gamma"], d["magnitude"]) == g
 
 
 def _gauss_sums_one_by_one(spec):

@@ -10,12 +10,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cycenum
-from cycenum import CosetPartition, GaussSumValue, MembershipReport, PipelineReport
+from cycenum import (
+    IcqParams,
+    build_ext_field,
+    cosets_full,
+    gauss_sum,
+    icq_membership,
+    irreducible_cyclic_code,
+    run_pipeline,
+    weight_spectrum_mceliece,
+)
 from cycenum import cli
 from cycenum.cli import MAX_COSETS_N, MAX_TRIALS, main
 from cycenum.cosets import multiplicative_order
 from cycenum.poly import is_irreducible
-from cycenum.weights import WeightSpectrum
 from gf_utils import valid_codes
 
 PAPER_PARTITION = """{0}
@@ -64,10 +72,7 @@ def test_cosets_json_roundtrip(capsys):
     code, out, err = run_cli(capsys, "cosets", "16", "3", "--json", "--members")
     assert code == 0 and err == ""
     doc = json.loads(out)
-    assert doc["schema"] == 1
-    from cycenum import cosets_full
-
-    assert CosetPartition.from_dict(doc) == cosets_full(16, 3)
+    assert doc == {"schema": 1, **cosets_full(16, 3).to_dict()}
 
 
 def test_cosets_json_sizes_only(capsys):
@@ -108,8 +113,7 @@ def test_weights_both_methods_agree(capsys):
     doc = json.loads(out)
     assert doc["spectrum"] == {"0": 1, "2": 10, "4": 5}
     assert doc["enumerator_check"] == {"A11": 16}
-    spectrum = WeightSpectrum.from_dict(doc["spectrum"], doc["n"])
-    assert spectrum.total() == 16
+    assert doc["spectrum"] == weight_spectrum_mceliece(irreducible_cyclic_code(2, 4, 3)).to_dict()
 
 
 def test_dual_subcommand(capsys):
@@ -124,9 +128,11 @@ def test_gauss_json_roundtrip(capsys):
     code, out, err = run_cli(capsys, "gauss", "2", "4", "5", "--json")
     assert code == 0 and err == ""
     doc = json.loads(out)
-    g = GaussSumValue.from_dict(doc)
-    assert abs(g.value - (-4.0)) < 1e-9
-    assert abs(g.magnitude - 4.0) < 1e-9
+    F = build_ext_field(2, 4)
+    assert doc == {"schema": 1, "q": 2, "k": 4, "j": 5, "beta_exp": 0,
+                   **gauss_sum(5, F.alpha_pow(0), F).to_dict()}
+    assert abs(complex(doc["re"], doc["im"]) - (-4.0)) < 1e-9
+    assert abs(doc["magnitude"] - 4.0) < 1e-9
 
 
 def test_theta_subcommand(capsys):
@@ -159,10 +165,9 @@ def test_icq_check_roundtrip(capsys):
                              "--epsilon", "0.6", "--json")
     assert code == 0 and err == ""
     doc = json.loads(out)
-    doc.pop("schema")
-    report = MembershipReport.from_dict(doc)
-    assert not report.member
-    assert report.failures == ["EpsilonExceedsBound"]
+    assert doc == {"schema": 1, **icq_membership(IcqParams(2, 4, 1, 0.6)).to_dict()}
+    assert not doc["member"]
+    assert doc["failures"] == ["EpsilonExceedsBound"]
 
 
 def test_pipeline_roundtrip_and_exit(capsys):
@@ -170,8 +175,8 @@ def test_pipeline_roundtrip_and_exit(capsys):
                              "--epsilon", "0.125", "--seed", "7", "--json")
     assert code == 0 and err == ""
     doc = json.loads(out)
-    report = PipelineReport.from_dict(doc["report"])
-    assert report.exact and report.seed == 7
+    assert doc == {"schema": 1, "report": run_pipeline(2, 4, 3, 0.125, 7).to_dict()}
+    assert doc["report"]["exact"] and doc["report"]["seed"] == 7
 
 
 def test_pipeline_trials_summary(capsys):
@@ -205,7 +210,11 @@ def _run_module(*argv, timeout=None):
                                   *[[cmd, "2", "4", "3", "--epsilon", eps, *extra]
                                     for cmd, extra in (("pipeline", ["--seed", "1", "--force"]),
                                                        ("icq-check", ["--json"]))
-                                    for eps in ("nan", "inf", "1e308")]])
+                                    for eps in ("nan", "inf", "1e308")],
+                                  # k < 1: 0**-1 would raise ZeroDivisionError
+                                  ["icq-check", "0", "-1", "3", "--epsilon", "0.1"],
+                                  ["pipeline", "0", "-1", "1", "--epsilon", "0.1", "--seed", "1"],
+                                  ["icq-check", "2", "0", "3", "--epsilon", "0.1"]])
 def test_invalid_sizes_exit_1_without_traceback(argv):
     run = _run_module(*argv)
     assert run.returncode == 1
@@ -312,6 +321,25 @@ def test_table_cap_checked_before_primality_and_q_pow_k():
         run = _run_module(*argv, timeout=5)
         assert (run.returncode, run.stdout) == (1, ""), argv
         assert run.stderr.startswith("TableCapExceeded"), argv
+
+
+@pytest.mark.parametrize("argv", [["icq-check", "4", "2", "3", "--epsilon", "0.1"],
+                                  ["icq-check", "9", "2", "8", "--epsilon", "0.1"],
+                                  ["pipeline", "4", "2", "3", "--epsilon", "0.1", "--seed", "1"]])
+def test_membership_refuses_a_prime_power_q(capsys, argv):
+    # n and the order pass (GF(4) and GF(81) exist), but codes are built
+    # over prime fields only: the check must say so, not report on theta
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"NotPrime: {argv[1]} is not prime\n"
+
+
+def test_weights_with_four_million_cosets_mod_N():
+    # the [1,1] code over GF(4194301), N = q - 1: d = 1, so the formula
+    # reads one coset mod d instead of sieving 4194300 cosets mod N
+    run = _run_module("weights", "4194301", "1", "4194300", "--json", timeout=10)
+    assert run.returncode == 0 and run.stderr == ""
+    assert json.loads(run.stdout)["spectrum"] == {"0": 1, "1": 4194300}
 
 
 def test_membership_keeps_N_an_exact_int(capsys):

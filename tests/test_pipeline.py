@@ -69,47 +69,58 @@ def test_bound_shrinks_with_k_at_fixed_theta():
 
 
 def test_membership_decisions():
-    member = icq_membership(IcqParams.from_code_params(2, 4, 1, 0.4))
+    member = icq_membership(IcqParams(2, 4, 1, 0.4))
     assert member.member and member.epsilon_ok
     assert member.failures == []
 
-    over = icq_membership(IcqParams.from_code_params(2, 4, 1, 0.6))
+    over = icq_membership(IcqParams(2, 4, 1, 0.6))
     assert not over.member
     assert over.failures == ["EpsilonExceedsBound"]
     assert over.epsilon_bound == 0.5
 
-    frac = icq_membership(IcqParams.from_code_params(2, 4, 7, 0.1))
+    frac = icq_membership(IcqParams(2, 4, 7, 0.1))
     assert not frac.member and not frac.n_integral
     assert "IntegralityFailed" in frac.failures
 
-    order = icq_membership(IcqParams.from_code_params(2, 4, 5, 0.1))
+    order = icq_membership(IcqParams(2, 4, 5, 0.1))
     assert not order.member and order.n_integral and not order.order_ok
     assert "OrderCheckFailed" in order.failures
 
-    big_eps = icq_membership(IcqParams.from_code_params(2, 4, 1, 1.5))
+    big_eps = icq_membership(IcqParams(2, 4, 1, 1.5))
     assert not big_eps.member
     assert "EpsilonNotBelowOne" in big_eps.failures
 
-    degenerate = icq_membership(IcqParams.from_code_params(3, 1, 2, 0.1))
+    degenerate = icq_membership(IcqParams(3, 1, 2, 0.1))
     assert not degenerate.member
     assert "NonIntegralTheta" in degenerate.failures
 
 
 def test_icq_params_validation():
+    for N in (0, -3):
+        with pytest.raises(InvalidParameters, match="is not a positive integer"):
+            IcqParams(q=2, k=3, N=N, epsilon=0.1)
     with pytest.raises(InvalidParameters):
-        IcqParams(q=2, k=3, alpha=1.5, s=1.0, epsilon=0.1)  # N = 4.5
-    with pytest.raises(InvalidParameters):
-        IcqParams(q=2, k=3, alpha=7.0, s=0.0, epsilon=0.0)
-    p = IcqParams(q=2, k=2, alpha=3.5, s=2.0, epsilon=0.1)
-    assert p.N == 14
+        IcqParams(q=2, k=3, N=7, epsilon=0.0)
+    p = IcqParams(q=2, k=2, N=3 * 2**2, epsilon=0.1)  # N = alpha * k^s, alpha 3, s 2
+    assert (p.q, p.k, p.N, p.epsilon) == (2, 2, 12, 0.1)
+
+
+def test_membership_builds_no_field(monkeypatch):
+    # every clause is integer arithmetic on q, k and N
+    def no_build(*args):
+        raise AssertionError("icq_membership built the code")
+
+    monkeypatch.setattr(pipeline, "irreducible_cyclic_code", no_build)
+    report = icq_membership(IcqParams(2, 22, 3, 0.001))
+    assert report.member and report.n == (2**22 - 1) // 3
+    assert (report.theta, report.epsilon_bound) == (11, 2**10 / (4 * 2**11))
 
 
 def test_membership_report_roundtrip():
-    report = icq_membership(IcqParams.from_code_params(2, 4, 3, 0.1))
-    from cycenum import MembershipReport
-
-    parsed = MembershipReport.from_dict(json.loads(json.dumps(report.to_dict())))
-    assert parsed == report
+    report = icq_membership(IcqParams(2, 4, 3, 0.1))
+    doc = report.to_dict()
+    assert json.loads(json.dumps(doc)) == doc
+    assert list(doc.values()) == [getattr(report, key) for key in doc]
 
 
 def test_noisy_oracle_determinism_and_bound():
@@ -122,8 +133,9 @@ def test_noisy_oracle_determinism_and_bound():
         assert abs(u) < 0.3
     # epsilon -> 0 limit
     assert abs(noisy_gauss_oracle(2.5, 1e-15, seed=1) - 2.5) < 1e-14
-    with pytest.raises(ValueError):
-        noisy_gauss_oracle(0.0, 0.0, seed=1)
+    for epsilon in (0.0, -0.1, float("nan"), float("inf")):
+        with pytest.raises(InvalidParameters):
+            noisy_gauss_oracle(0.0, epsilon, seed=1)
 
 
 @pytest.mark.parametrize("seed", [0, -12345, 2**32 + 7])
@@ -202,8 +214,11 @@ def test_oracle_call_count_is_d_minus_one():
 
 def test_pipeline_report_roundtrip():
     report = run_pipeline(2, 4, 3, 0.125, seed=7)
-    parsed = PipelineReport.from_dict(json.loads(json.dumps(report.to_dict())))
-    assert parsed == report
+    doc = report.to_dict()
+    assert json.loads(json.dumps(doc)) == doc
+    assert doc["recovered_spectrum"] == report.recovered_spectrum.to_dict()
+    assert {key: value for key, value in doc.items() if key != "recovered_spectrum"} == {
+        key: getattr(report, key) for key in doc if key != "recovered_spectrum"}
 
 
 def test_one_build_and_one_theta_per_run(monkeypatch):
@@ -217,7 +232,7 @@ def test_one_build_and_one_theta_per_run(monkeypatch):
 
     monkeypatch.setattr(pipeline, "irreducible_cyclic_code",
                         counted("build", pipeline.irreducible_cyclic_code))
-    monkeypatch.setattr(pipeline, "theta", counted("theta", pipeline.theta))
+    monkeypatch.setattr(pipeline, "_theta", counted("theta", pipeline._theta))
     reports = run_pipeline_trials(2, 12, 5, 0.001, range(3), force=True)
     assert len(reports) == 3 and all(r.exact for r in reports)
     assert calls == {"build": 1, "theta": 1}
@@ -236,7 +251,7 @@ def test_forced_run_raises_the_failed_clause(q, k, N, error):
 
 
 def test_report_keys():
-    membership = icq_membership(IcqParams.from_code_params(2, 4, 3, 0.1))
+    membership = icq_membership(IcqParams(2, 4, 3, 0.1))
     assert set(membership.to_dict()) == {
         "q", "k", "N", "epsilon", "n_integral", "order_ok", "n", "theta",
         "epsilon_bound", "epsilon_ok", "member", "failures"}

@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -131,7 +132,8 @@ def test_distinct_weights_bounded_by_N():
 def test_spectrum_dict_roundtrip():
     spec = irreducible_cyclic_code(2, 4, 3)
     s = weight_spectrum_mceliece(spec)
-    assert WeightSpectrum.from_dict(s.to_dict(), s.n) == s
+    doc = s.to_dict()
+    assert json.loads(json.dumps(doc)) == doc == {"0": 1, "2": 10, "4": 5}
 
 
 # ---------------------------------------------------------------------------
