@@ -11,18 +11,14 @@ __version__ = "0.1.0"
 
 from .characters import (
     GaussSumValue,
-    additive_character,
     gauss_sum,
-    multiplicative_character,
     order_d_character_sums,
 )
 from .codes import (
     CodeSpec,
-    codeword_from_trace,
     factor_xn_minus_1,
     generator_matrix,
     irreducible_cyclic_code,
-    minimal_polynomial,
 )
 from .cosets import (
     Coset,
@@ -42,7 +38,6 @@ from .pipeline import (
     epsilon_bound,
     icq_membership,
     noisy_gauss_oracle,
-    run_pipeline,
     run_pipeline_trials,
     theta,
 )
@@ -60,16 +55,14 @@ from . import errors  # noqa: F401  (re-exported as a namespace)
 __all__ = [
     "__version__",
     "errors",
-    "GaussSumValue", "additive_character", "gauss_sum",
-    "multiplicative_character", "order_d_character_sums",
-    "CodeSpec", "codeword_from_trace", "factor_xn_minus_1",
-    "generator_matrix", "irreducible_cyclic_code", "minimal_polynomial",
+    "GaussSumValue", "gauss_sum", "order_d_character_sums",
+    "CodeSpec", "factor_xn_minus_1", "generator_matrix", "irreducible_cyclic_code",
     "Coset", "CosetPartition", "coset_count_formula", "coset_leaders",
     "cosets_full", "iter_coset_leaders", "multiplicative_order",
     "DEFAULT_TABLE_CAP", "ExtField", "build_ext_field",
     "IcqParams", "MembershipReport", "PipelineReport", "digit_sum",
     "epsilon_bound", "icq_membership", "noisy_gauss_oracle",
-    "run_pipeline", "run_pipeline_trials", "theta",
+    "run_pipeline_trials", "theta",
     "WeightEnumerator", "WeightSpectrum",
     "macwilliams_dual", "s_function", "weight_spectrum_bruteforce",
     "weight_spectrum_mceliece",

@@ -1,11 +1,12 @@
-"""Canonical characters of GF(q**k) and exact classical Gauss sums.
+"""Exact classical Gauss sums over GF(q**k).
 
 The additive character is e_beta(a) = exp(2*pi*i*Tr(beta*a)/q) and the
-multiplicative character is chi_j(alpha**m) = exp(2*pi*i*j*m/(q**k - 1)).
-A Gauss sum is the full sum of chi_j * e_beta over the nonzero elements,
-evaluated in double precision with a vectorized, deterministic pairwise
-summation; for nontrivial chi_j and beta != 0 its magnitude is the exact
-square root of the field size, and only the phase is hard.
+multiplicative character is chi_j(alpha**m) = exp(2*pi*i*j*m/(q**k - 1)),
+both read from the field tables. A Gauss sum is the full sum of
+chi_j * e_beta over the nonzero elements, evaluated in double precision
+with a vectorized, deterministic pairwise summation; for nontrivial chi_j
+and beta != 0 its magnitude is the exact square root of the field size,
+and only the phase is hard.
 
 gauss_sum evaluates one sum from its M = q**k - 1 angles. The d - 1 sums
 of order_d_character_sums, the ones the weight formula needs, take every
@@ -15,7 +16,6 @@ gather from the table followed by the same np.sum, term for term and in
 the same order, and its value is bit-identical to gauss_sum's.
 """
 
-import cmath
 import math
 from dataclasses import dataclass
 from math import gcd
@@ -23,13 +23,11 @@ from math import gcd
 import numpy as np
 
 from .codes import CodeSpec
-from .errors import CharacterOfZero, PhaseOfZero
+from .errors import PhaseOfZero
 from .field import ExtField
 
 __all__ = [
     "GaussSumValue",
-    "additive_character",
-    "multiplicative_character",
     "gauss_sum",
     "order_d_character_sums",
 ]
@@ -65,20 +63,6 @@ def _phase(value: complex) -> float:
 
 def _polar(value: complex) -> GaussSumValue:
     return GaussSumValue(value=value, gamma=_phase(value), magnitude=abs(value))
-
-
-def additive_character(beta: int, a: int, F: ExtField) -> complex:
-    """e_beta(a) = exp(2*pi*i * Tr(beta*a) / q)."""
-    t = F.trace(F.mul(beta, a))
-    return cmath.exp(1j * _TWO_PI * t / F.q)
-
-
-def multiplicative_character(j: int, x: int, F: ExtField) -> complex:
-    """chi_j(x) = exp(2*pi*i * j * dlog(x) / (q**k - 1)); x must be nonzero."""
-    if F.check(x) == 0:
-        raise CharacterOfZero("multiplicative character of zero")
-    m = F.dlog(x)
-    return cmath.exp(1j * _TWO_PI * ((j * m) % F.group_order) / F.group_order)
 
 
 def gauss_sum(j: int, beta: int, F: ExtField) -> GaussSumValue:

@@ -16,12 +16,12 @@ import sys
 from collections.abc import Iterable
 
 from . import __version__
-from .codes import factor_xn_minus_1, generator_matrix, irreducible_cyclic_code
+from .codes import _code_length, factor_xn_minus_1, generator_matrix, irreducible_cyclic_code
 from .cosets import coset_count_formula, coset_leaders, cosets_full, multiplicative_order
 from .characters import gauss_sum
 from .errors import CycenumError, InvalidParameters, SpectrumMismatch
 from .field import DEFAULT_TABLE_CAP, build_ext_field
-from .pipeline import IcqParams, _bound, icq_membership, run_pipeline_trials, theta
+from .pipeline import IcqParams, _bound, _theta, icq_membership, run_pipeline_trials
 from .weights import (
     WeightEnumerator,
     macwilliams_dual,
@@ -182,18 +182,20 @@ def cmd_dual(args) -> tuple[dict, Iterable[str]]:
 
 
 def cmd_theta(args) -> tuple[dict, Iterable[str]]:
-    spec = irreducible_cyclic_code(args.q, args.k, args.N)
-    t = theta(spec)
-    bound = _bound(spec.q, spec.k, t)
+    # integer arithmetic on q, k and N: the code's field is never built
+    q, k, N = args.q, args.k, args.N
+    n = _code_length(q, k, N)
+    t = _theta(q, n, N)
+    bound = _bound(q, k, t)
     payload = {
-        "q": spec.q, "k": spec.k, "N": spec.N, "n": spec.n,
+        "q": q, "k": k, "N": N, "n": n,
         "theta": t,
-        "weight_divisor": spec.q ** (t - 1),
+        "weight_divisor": q ** (t - 1),
         "epsilon_bound": bound,
     }
     lines = [
         f"theta = {t}",
-        f"all nonzero weights divisible by q^(theta-1) = {spec.q ** (t - 1)}",
+        f"all nonzero weights divisible by q^(theta-1) = {q ** (t - 1)}",
         f"epsilon bound = {bound!r}",
     ]
     return payload, lines

@@ -23,19 +23,16 @@ from math import gcd
 import numpy as np
 
 from . import field, poly
-from .cosets import (CosetPartition, coset_count_formula, coset_leaders,
-                     multiplicative_order)
+from .cosets import coset_count_formula, coset_leaders, multiplicative_order
 from .errors import InvalidParameters, NoDegreeKFactor, OrderMismatch, SpectrumMismatch
 from .field import ExtField, _check_field_params, _unpack, build_ext_field
 from .intmath import check_prime, euler_phi, factorize
 
 __all__ = [
     "CodeSpec",
-    "minimal_polynomial",
     "factor_xn_minus_1",
     "irreducible_cyclic_code",
     "generator_matrix",
-    "codeword_from_trace",
 ]
 
 
@@ -72,32 +69,6 @@ def _min_poly(ctx: poly.ModMulContext, root: np.ndarray, m: int) -> list[int]:
     if A[m:, m].any():
         raise OrderMismatch(f"a root of degree above {m}")
     return ((-A[:m, m]) % q).tolist() + [1]
-
-
-def minimal_polynomial(s: int, partition: CosetPartition, F: ExtField) -> list[int]:
-    """M_s(X), the product of (X - alpha_N**eta) over eta in the coset of s.
-
-    alpha_N is the canonical element of order N in F, namely
-    alpha**((q**k - 1)/N). The result is monic with coefficients in the
-    base field, has degree equal to the coset size, and is irreducible.
-    """
-    N = partition.N
-    if partition.p != F.q:
-        raise InvalidParameters(
-            f"partition multiplier {partition.p} differs from field characteristic {F.q}")
-    if F.group_order % N != 0:
-        raise OrderMismatch(f"GF({F.q}^{F.k}) has no element of order {N}")
-    coset = next((c for c in partition.cosets if c.leader == s), None)
-    if coset is None:
-        raise InvalidParameters(f"{s} is not a coset leader of the partition")
-    if F.k % coset.size != 0:
-        raise OrderMismatch(
-            f"coset size {coset.size} does not divide extension degree {F.k}")
-    root = F.coeffs(F.alpha_pow(F.group_order // N * s))
-    coeffs = _min_poly(field._context(F.q, F.k), root, coset.size)
-    if not poly.is_irreducible(coeffs, F.q):
-        raise InvalidParameters(f"minimal polynomial of {s} is reducible")
-    return coeffs
 
 
 def _element_of_order(ctx: poly.ModMulContext, f: int) -> np.ndarray:
@@ -231,13 +202,32 @@ def _generator_trace_word(F: ExtField, h: list[int], N: int, n: int) -> list[int
     that coefficient of x**i mod h as Tr(beta**i / h'(beta)). As beta**n
     is 1, the quotient is the trace word g_j = Tr(tau * alpha**(N*j)) with
     tau = 1/(beta * h'(beta)), read from the trace table in one gather.
+    beta * h'(beta) is the sum of (i * h_i mod q) * beta**i over i = 1..k,
+    formed from the digits of those powers of alpha; the log of tau is
+    minus its dlog.
     """
-    q, beta = F.q, F.alpha_pow(-N)
-    acc = 0
-    for i in range(len(h) - 1, 0, -1):  # Horner for x * h'(x) at beta
-        acc = F.mul(F.add(acc, i * h[i] % q), beta)
-    steps = F.dlog(F.inv(acc)) + N * np.arange(n - len(h) + 2)
+    q, k, i = F.q, F.k, np.arange(1, len(h))
+    powers = F.exp_table[-N * i % F.group_order]
+    acc = int(np.array(h[1:]) * i % q @ field._digits(powers, q, k) % q @ q ** np.arange(k))
+    steps = -F.dlog(acc) + N * np.arange(n - len(h) + 2)
     return F.trace_table()[steps % F.group_order].tolist()
+
+
+def _code_length(q: int, k: int, N: int) -> int:
+    """n = (q**k - 1)/N, once (q, k, N) is checked to define an
+    irreducible cyclic code: k, N >= 1, GF(q**k) a field within the table
+    cap, N | q**k - 1 and ord_n(q) = k. Builds no field."""
+    if k < 1 or N < 1:
+        raise InvalidParameters("k and N must be >= 1")
+    _check_field_params(q, k)
+    total = q**k - 1
+    if total % N != 0:
+        raise InvalidParameters(f"N = {N} does not divide q^k - 1 = {total}")
+    n = total // N
+    order = multiplicative_order(q, n)
+    if order != k:
+        raise InvalidParameters(f"ord_{n}({q}) = {order} != k = {k}")
+    return n
 
 
 def irreducible_cyclic_code(q: int, k: int, N: int) -> CodeSpec:
@@ -247,17 +237,7 @@ def irreducible_cyclic_code(q: int, k: int, N: int) -> CodeSpec:
     is exactly the degree-k irreducible factor of x**n - 1 whose code
     contains every trace word (Tr(tau), Tr(tau*alpha**N), ...).
     """
-    if k < 1 or N < 1:
-        raise InvalidParameters("k and N must be >= 1")
-    _check_field_params(q, k)
-    total = q**k - 1
-    if total % N != 0:
-        raise InvalidParameters(f"N = {N} does not divide q^k - 1 = {total}")
-    n = total // N
-    if multiplicative_order(q, n) != k:
-        raise InvalidParameters(
-            f"ord_{n}({q}) = {multiplicative_order(q, n)} != k = {k}")
-
+    n = _code_length(q, k, N)
     F = build_ext_field(q, k)
     # alpha**(-N) has order n, so its degree is ord_n(q) = k; _min_poly checks it
     h = _min_poly(field._context(q, k), F.coeffs(F.alpha_pow(-N)), k)
@@ -281,14 +261,3 @@ def generator_matrix(spec: CodeSpec) -> list[list[int]]:
         rows.append(row)
     return rows
 
-
-def codeword_from_trace(tau: int, spec: CodeSpec) -> list[int]:
-    """The word (Tr(tau), Tr(tau*alpha**N), ..., Tr(tau*alpha**((n-1)N)))."""
-    F = spec.field
-    F.check(tau)
-    if tau == 0:
-        return [0] * spec.n
-    t = F.dlog(tau)
-    tr = F.trace_table()
-    M = F.group_order
-    return [int(tr[(t + j * spec.N) % M]) for j in range(spec.n)]

@@ -49,10 +49,6 @@ class NoDegreeKFactor(CycenumError):
     """No irreducible degree-k check polynomial divides x**n - 1."""
 
 
-class CharacterOfZero(CycenumError):
-    """Multiplicative character evaluated at the zero element."""
-
-
 class PhaseOfZero(CycenumError):
     """Phase angle of a (near-)zero complex value requested."""
 

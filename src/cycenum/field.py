@@ -2,9 +2,9 @@
 
 Elements of GF(q**k) are plain ints in [0, q**k): the packed value
 sum(c_i * q**i) of the coefficient vector (c_0, ..., c_(k-1)) over GF(q).
-Zero is 0 and the multiplicative identity is 1. Multiplication goes
-through the discrete-log tables of a verified primitive element alpha;
-addition is digit-wise mod q (XOR when q == 2).
+Zero is 0 and the multiplicative identity is 1. A field is its tables,
+read through a verified primitive element alpha: the packed value of
+each power of alpha, its discrete log, and its trace.
 
 The exp, log and trace tables are int64 numpy arrays, built in one pass
 with no per-element Python loop. Multiplication by a fixed element is a
@@ -45,13 +45,6 @@ _CHUNK = 1 << 12  # rows of digit work held at once; a power of two
 _SCAN = 32  # primitive-element candidates tested per batch
 
 
-def _pack(coeffs, q: int) -> int:
-    v = 0
-    for c in reversed(coeffs):
-        v = v * q + c
-    return v
-
-
 def _unpack(v: int, q: int, k: int) -> list[int]:
     out = []
     for _ in range(k):
@@ -66,11 +59,10 @@ class ExtField:
     exp_table[i] is the packed value of alpha**i and trace_table()[i] is
     Tr(alpha**i), for i in [0, q**k - 2]; log_table is the inverse of
     exp_table on the nonzero elements, and log_table[0] is -1, never read
-    because every method rejects 0 before a log lookup. All three are
-    int64 arrays, built in one pass by _tables, which checks the order of
-    alpha and the balance of the trace. Constructed through
-    build_ext_field. The element methods read the tables with item(), so
-    they return Python ints.
+    because dlog rejects 0. All three are int64 arrays, built in one pass
+    by _tables, which checks the order of alpha and the balance of the
+    trace. Constructed through build_ext_field. alpha_pow and dlog read
+    the tables with item(), so they return Python ints.
     """
 
     def __init__(self, q: int, k: int, modulus: tuple[int, ...], alpha: int,
@@ -85,8 +77,6 @@ class ExtField:
         self.log_table = log_table
         self._trace = trace
 
-    # -- element plumbing ----------------------------------------------
-
     def check(self, a: int) -> int:
         if not isinstance(a, int) or not 0 <= a < self.order:
             raise FieldMismatch(f"{a!r} is not an element of GF({self.q}^{self.k})")
@@ -95,70 +85,6 @@ class ExtField:
     def coeffs(self, a: int) -> tuple[int, ...]:
         """Coefficient vector (c_0, ..., c_(k-1)) of an element."""
         return tuple(_unpack(self.check(a), self.q, self.k))
-
-    def from_coeffs(self, coeffs) -> int:
-        if len(coeffs) > self.k or any(not 0 <= c < self.q for c in coeffs):
-            raise FieldMismatch(f"bad coefficient vector {coeffs!r}")
-        return _pack(coeffs, self.q)
-
-    def elements(self):
-        return range(self.order)
-
-    # -- arithmetic ----------------------------------------------------
-
-    def add(self, a: int, b: int) -> int:
-        self.check(a)
-        self.check(b)
-        q = self.q
-        if q == 2:
-            return a ^ b
-        v, m = 0, 1
-        for _ in range(self.k):
-            v += ((a + b) % q) * m
-            a //= q
-            b //= q
-            m *= q
-        return v
-
-    def neg(self, a: int) -> int:
-        self.check(a)
-        q = self.q
-        if q == 2:
-            return a
-        v, m = 0, 1
-        for _ in range(self.k):
-            v += ((-a) % q) * m
-            a //= q
-            m *= q
-        return v
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
-    def mul(self, a: int, b: int) -> int:
-        self.check(a)
-        self.check(b)
-        if a == 0 or b == 0:
-            return 0
-        log = self.log_table
-        return self.exp_table.item((log.item(a) + log.item(b)) % self.group_order)
-
-    def inv(self, a: int) -> int:
-        if self.check(a) == 0:
-            raise LogOfZero("inverse of zero")
-        return self.exp_table.item(-self.log_table.item(a) % self.group_order)
-
-    def pow(self, a: int, e: int) -> int:
-        """a**e with exponents of any sign reduced mod the group order."""
-        self.check(a)
-        if a == 0:
-            if e > 0:
-                return 0
-            if e == 0:
-                return 1
-            raise LogOfZero("negative power of zero")
-        # item() gives a Python int, so log * e cannot overflow for a huge e
-        return self.exp_table.item(self.log_table.item(a) * e % self.group_order)
 
     def alpha_pow(self, i: int) -> int:
         """alpha**i, i.e. the element Exp(i mod (q**k - 1))."""
@@ -169,12 +95,6 @@ class ExtField:
         if self.check(a) == 0:
             raise LogOfZero("discrete log of zero")
         return self.log_table.item(a)
-
-    def trace(self, a: int) -> int:
-        """Tr(a) = sum of a**(q**j) for j < k, returned as an int in [0, q)."""
-        if self.check(a) == 0:
-            return 0
-        return self._trace.item(self.log_table.item(a))
 
     def trace_table(self) -> np.ndarray:
         """Tr(alpha**m) for m in [0, q**k - 2] as an int64 array."""

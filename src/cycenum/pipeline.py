@@ -42,7 +42,6 @@ __all__ = [
     "epsilon_bound",
     "icq_membership",
     "noisy_gauss_oracle",
-    "run_pipeline",
     "run_pipeline_trials",
 ]
 
@@ -204,26 +203,19 @@ class PipelineReport:
         return {**asdict(self), "recovered_spectrum": self.recovered_spectrum.to_dict()}
 
 
-def run_pipeline(q: int, k: int, N: int, epsilon: float, seed: int,
-                 force: bool = False) -> PipelineReport:
-    """One noisy recovery run: build the code, sieve the cosets, perturb
-    the exact phases, evaluate the weight formula per leader, round to
-    multiples of q**(theta-1), tally, and compare to the noiseless
-    spectrum; report.exact says whether they matched.
-
-    Raises MembershipFailed when the epsilon/parameter check fails and
-    force is not set.
-    """
-    return run_pipeline_trials(q, k, N, epsilon, [seed], force)[0]
-
-
 _BLOCK_CELLS = 1 << 16
 
 
 def run_pipeline_trials(q: int, k: int, N: int, epsilon: float, seeds,
                         force: bool = False) -> list[PipelineReport]:
-    """run_pipeline over many seeds, with the code built and its theta
-    computed only once. Forced past a failed n, order or theta clause, it
+    """One noisy recovery run per seed, with the code built and its theta
+    computed only once. Each run perturbs the exact phases, evaluates the
+    weight formula per leader, rounds to multiples of q**(theta-1),
+    tallies, and compares to the noiseless spectrum; report.exact says
+    whether they matched.
+
+    Raises MembershipFailed when the epsilon/parameter check fails and
+    force is not set. Forced past a failed n, order or theta clause, it
     raises InvalidParameters or NonIntegralTheta, as it does for a seed
     that is not an integer.
 

@@ -59,9 +59,6 @@ class WeightSpectrum:
     def total(self) -> int:
         return sum(self.counts.values())
 
-    def distinct_nonzero_weights(self) -> int:
-        return sum(1 for w in self.counts if w != 0)
-
     def to_dict(self) -> dict:
         return {str(w): self.counts[w] for w in sorted(self.counts)}
 

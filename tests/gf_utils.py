@@ -1,5 +1,6 @@
 """Small GF(q) helpers used as independent test oracles."""
 
+import cmath
 import itertools
 import math
 
@@ -111,19 +112,41 @@ def dual_by_expansion(counts, n, q):
 
 def orbit_product_reference(F, exponents):
     """Coefficients of the product of (X - alpha**e) over the exponents,
-    on packed elements through the field's log tables; OrderMismatch when
-    a coefficient is not in the base field."""
+    on packed elements by table-free arithmetic mod F.modulus;
+    OrderMismatch when a coefficient is not in the base field."""
+    q, k, modulus = F.q, F.k, F.modulus
     prod = [1]
     for e in exponents:
-        nroot = F.neg(F.alpha_pow(e))
+        nroot = _mul_raw(q - 1, F.alpha_pow(e), modulus, q, k)
         nxt = [0] * (len(prod) + 1)
         for i, c in enumerate(prod):
-            nxt[i + 1] = F.add(nxt[i + 1], c)
-            nxt[i] = F.add(nxt[i], F.mul(nroot, c))
+            nxt[i + 1] = _add_raw(nxt[i + 1], c, q, k)
+            nxt[i] = _add_raw(nxt[i], _mul_raw(nroot, c, modulus, q, k), q, k)
         prod = nxt
-    if any(c >= F.q for c in prod):
+    if any(c >= q for c in prod):
         raise OrderMismatch("orbit product left the base field")
     return prod
+
+
+def trace_words(spec):
+    """Every word (Tr(tau), Tr(tau*alpha**N), ...) of the code: tau = 0,
+    then tau = alpha**t for t = 0, 1, ... Tr(alpha**m), an element of
+    GF(q), is the constant digit of the sum of the conjugates
+    alpha**(m*q**i), so the sum of their packed values mod q."""
+    F, q = spec.field, spec.q
+    exp, M = F.exp_table.tolist(), F.group_order
+    words = [[0] * spec.n]
+    for t in range(M):
+        words.append([sum(exp[(t + j * spec.N) * q**i % M] for i in range(F.k)) % q
+                      for j in range(spec.n)])
+    return words
+
+
+def character(j, x, F):
+    """chi_j(x) = exp(2*pi*i * j * log(x) / (q**k - 1)) for x != 0, the
+    log read from F.log_table."""
+    M = F.group_order
+    return cmath.exp(2j * cmath.pi * (j * int(F.log_table[x]) % M) / M)
 
 
 # -- per-element field builder, the reference for cycenum.field ----------

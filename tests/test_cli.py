@@ -17,7 +17,7 @@ from cycenum import (
     gauss_sum,
     icq_membership,
     irreducible_cyclic_code,
-    run_pipeline,
+    run_pipeline_trials,
     weight_spectrum_mceliece,
 )
 from cycenum import cli
@@ -148,16 +148,28 @@ def test_theta_subcommand_computes_theta_once(capsys, monkeypatch):
     from cycenum import cli, pipeline
 
     expected = run_cli(capsys, "theta", "2", "12", "5", "--json")
-    original, calls = pipeline.theta, []
+    original, calls = pipeline._theta, []
 
-    def counting_theta(spec):
-        calls.append(spec)
-        return original(spec)
+    def counting_theta(q, n, N):
+        calls.append((q, n, N))
+        return original(q, n, N)
 
-    monkeypatch.setattr(pipeline, "theta", counting_theta)
-    monkeypatch.setattr(cli, "theta", counting_theta)
+    monkeypatch.setattr(pipeline, "_theta", counting_theta)
+    monkeypatch.setattr(cli, "_theta", counting_theta)
     assert run_cli(capsys, "theta", "2", "12", "5", "--json") == expected
-    assert len(calls) == 1
+    assert calls == [(2, 819, 5)]
+
+
+def test_theta_subcommand_builds_no_field(capsys, monkeypatch):
+    # theta is integer arithmetic on q, k and N, even at the table cap
+    def no_build(*args):
+        raise AssertionError("theta built a field")
+
+    monkeypatch.setattr(cycenum.codes, "build_ext_field", no_build)
+    code, out, err = run_cli(capsys, "theta", "2", "22", "3", "--json")
+    assert code == 0 and err == ""
+    assert json.loads(out) == {"schema": 1, "q": 2, "k": 22, "N": 3, "n": (2**22 - 1) // 3,
+                               "theta": 11, "weight_divisor": 2**10, "epsilon_bound": 0.125}
 
 
 def test_icq_check_roundtrip(capsys):
@@ -175,7 +187,8 @@ def test_pipeline_roundtrip_and_exit(capsys):
                              "--epsilon", "0.125", "--seed", "7", "--json")
     assert code == 0 and err == ""
     doc = json.loads(out)
-    assert doc == {"schema": 1, "report": run_pipeline(2, 4, 3, 0.125, 7).to_dict()}
+    report = run_pipeline_trials(2, 4, 3, 0.125, [7])[0]
+    assert doc == {"schema": 1, "report": report.to_dict()}
     assert doc["report"]["exact"] and doc["report"]["seed"] == 7
 
 

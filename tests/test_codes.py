@@ -9,69 +9,45 @@ import pytest
 import cycenum
 from cycenum import (
     build_ext_field,
-    codeword_from_trace,
     coset_count_formula,
     cosets_full,
     factor_xn_minus_1,
     generator_matrix,
     irreducible_cyclic_code,
-    minimal_polynomial,
 )
 from cycenum import codes, digit_sum, field, poly
 from cycenum.cosets import multiplicative_order
 from cycenum.errors import InvalidParameters, NoDegreeKFactor, NotCoprime, OrderMismatch
 from cycenum.intmath import divisors, factorize, is_prime
-from gf_utils import all_monic, enumerate_span, gf_rank, orbit_product_reference, valid_codes
-
-
-def eval_in_field(p, x, F):
-    """Horner evaluation of a base-field polynomial at a field element."""
-    acc = 0
-    for c in reversed(p):
-        acc = F.add(F.mul(acc, x), c)
-    return acc
+from gf_utils import (all_monic, enumerate_span, gf_rank, orbit_product_reference,
+                      trace_words, valid_codes)
 
 
 # ---------------------------------------------------------------------------
-# minimal polynomials
+# minimal polynomials: factor_xn_minus_1 lists M_s for every coset leader s
 
 
 def test_minimal_polynomial_of_coset_zero():
-    part = cosets_full(15, 2)
-    F = build_ext_field(2, 4)
-    assert minimal_polynomial(0, part, F) == [1, 1]  # X - 1 over GF(2)
+    assert factor_xn_minus_1(15, 2)[0] == [1, 1]  # X - 1 over GF(2)
 
 
 def test_minimal_polynomial_c5_is_the_quadratic():
     part = cosets_full(15, 2)
     F = build_ext_field(2, 4)
-    m5 = minimal_polynomial(5, part, F)
+    m5 = factor_xn_minus_1(15, 2)[[c.leader for c in part.cosets].index(5)]
     assert m5 == [1, 1, 1]
     # roots alpha^5 and alpha^10 (the two elements of order 3)
-    for eta in (5, 10):
-        assert eval_in_field(m5, F.alpha_pow(eta), F) == 0
+    assert orbit_product_reference(F, [5, 10]) == m5
 
 
 def test_minimal_polynomial_degrees_match_coset_sizes():
     part = cosets_full(15, 2)
     F = build_ext_field(2, 4)
-    degs = [poly.degree(minimal_polynomial(c.leader, part, F)) for c in part.cosets]
+    factors = factor_xn_minus_1(15, 2)
+    assert factors == [orbit_product_reference(F, c.members) for c in part.cosets]
+    degs = [poly.degree(f) for f in factors]
     assert degs == [c.size for c in part.cosets]
     assert sorted(degs) == [1, 2, 4, 4, 4]
-
-
-def test_minimal_polynomial_order_mismatch():
-    part = cosets_full(7, 2)
-    F = build_ext_field(2, 4)  # 7 does not divide 15
-    with pytest.raises(OrderMismatch):
-        minimal_polynomial(1, part, F)
-
-
-def test_minimal_polynomial_wrong_multiplier():
-    part = cosets_full(16, 3)
-    F = build_ext_field(2, 4)
-    with pytest.raises(InvalidParameters):
-        minimal_polynomial(1, part, F)
 
 
 @pytest.mark.parametrize("call", [
@@ -79,9 +55,7 @@ def test_minimal_polynomial_wrong_multiplier():
     lambda: digit_sum(-1, 2),
     lambda: digit_sum(5, 1),
     lambda: poly.ModMulContext([1, 1, 2], 3),  # leading coefficient 2
-    lambda: minimal_polynomial(2, cosets_full(15, 2), build_ext_field(2, 4)),  # 2 is not a leader
-], ids=["factorize", "digit_sum-negative", "digit_sum-base", "non-monic-modulus",
-        "non-leader"])
+], ids=["factorize", "digit_sum-negative", "digit_sum-base", "non-monic-modulus"])
 def test_library_input_errors_are_invalid_parameters(call):
     with pytest.raises(InvalidParameters):
         call()
@@ -190,16 +164,19 @@ def test_min_poly_reference_root_sources_and_wrong_degree():
                         == orbit_product_reference(F, orbit.members))
             k += 1
     # roots as powers of an element of order f (factor_xn_minus_1) and as
-    # digits of alpha**e (minimal_polynomial) give the same factors
+    # digits of alpha**e, e = (q**k - 1)/n * s, give the same factors
     for q in (2, 3, 5, 7):
         k = 1
         while q**k <= 1 << 10:
             for n in divisors(q**k - 1):
                 if multiplicative_order(q, n) != k:
                     continue
-                part = cosets_full(n, q)
                 F = build_ext_field(q, k)
-                minimal = sorted(minimal_polynomial(c.leader, part, F) for c in part.cosets)
+                ctx = field._context(q, k)
+                minimal = sorted(
+                    codes._min_poly(ctx, F.coeffs(F.alpha_pow(F.group_order // n * c.leader)),
+                                    c.size)
+                    for c in cosets_full(n, q).cosets)
                 assert sorted(factor_xn_minus_1(n, q)) == minimal, (n, q)
             k += 1
     # alpha of GF(16) has degree 4: at m = 1 the last column is left
@@ -324,23 +301,21 @@ def test_trace_words_equal_row_space(q, k, N):
     spec = irreducible_cyclic_code(q, k, N)
     rows = generator_matrix(spec)
     span = set(enumerate_span(rows, q))
-    words = {tuple(codeword_from_trace(tau, spec)) for tau in spec.field.elements()}
+    words = {tuple(w) for w in trace_words(spec)}
     assert len(words) == q**k  # injectivity
     assert words == span
 
 
 def test_codeword_zero_and_simplex_weights():
-    spec = irreducible_cyclic_code(2, 4, 1)
-    assert codeword_from_trace(0, spec) == [0] * 15
-    for tau in range(1, 16):
-        assert sum(codeword_from_trace(tau, spec)) == 8
+    words = trace_words(irreducible_cyclic_code(2, 4, 1))
+    assert words[0] == [0] * 15
+    assert len(words) == 16 and all(sum(w) == 8 for w in words[1:])
 
 
 def test_cyclic_closure():
     for q, k, N in ((2, 4, 3), (3, 2, 2)):
         spec = irreducible_cyclic_code(q, k, N)
-        for tau in spec.field.elements():
-            w = codeword_from_trace(tau, spec)
+        for w in trace_words(spec):
             rotated = [w[-1]] + w[:-1]
             _, rem = poly.poly_divmod(poly.trim(rotated), spec.generator, q)
             assert rem == []

@@ -14,7 +14,6 @@ from cycenum import (
     irreducible_cyclic_code,
     noisy_gauss_oracle,
     order_d_character_sums,
-    run_pipeline,
     run_pipeline_trials,
     theta,
 )
@@ -153,7 +152,7 @@ def test_injected_errors_follow_the_seed_scheme(q, k, N, seed):
     spec = irreducible_cyclic_code(q, k, N)
     eps = epsilon_bound(spec)
     gammas = [g.gamma for g in order_d_character_sums(spec)]
-    report = run_pipeline(q, k, N, eps, seed, force=eps >= 1)
+    report = run_pipeline_trials(q, k, N, eps, [seed], force=eps >= 1)[0]
     assert len(gammas) >= 2
     expected = [(g + random.Random(seed * 100003 + a).uniform(-eps, eps)) - g
                 for a, g in enumerate(gammas, start=1)]
@@ -161,7 +160,7 @@ def test_injected_errors_follow_the_seed_scheme(q, k, N, seed):
 
 
 def test_pipeline_simplex_trivially_exact():
-    report = run_pipeline(2, 4, 1, 0.5, seed=123)
+    report = run_pipeline_trials(2, 4, 1, 0.5, [123])[0]
     assert report.exact
     assert report.oracle_calls == 0
     assert report.injected_errors == []
@@ -185,16 +184,16 @@ def test_pipeline_overlarge_epsilon_fails_sometimes():
 
 def test_pipeline_membership_gate():
     with pytest.raises(MembershipFailed):
-        run_pipeline(2, 4, 3, 0.2, seed=0)  # 0.2 > 0.125
-    report = run_pipeline(2, 4, 3, 0.2, seed=0, force=True)
+        run_pipeline_trials(2, 4, 3, 0.2, [0])  # 0.2 > 0.125
+    report = run_pipeline_trials(2, 4, 3, 0.2, [0], force=True)[0]
     assert report.epsilon_bound == 0.125
 
 
 def test_pipeline_determinism():
-    r1 = run_pipeline(2, 4, 3, 0.125, seed=7)
-    r2 = run_pipeline(2, 4, 3, 0.125, seed=7)
+    r1 = run_pipeline_trials(2, 4, 3, 0.125, [7])[0]
+    r2 = run_pipeline_trials(2, 4, 3, 0.125, [7])[0]
     assert r1 == r2
-    r3 = run_pipeline(2, 4, 3, 0.125, seed=8)
+    r3 = run_pipeline_trials(2, 4, 3, 0.125, [8])[0]
     assert r3 != r1
 
 
@@ -207,13 +206,13 @@ def test_oracle_call_count_is_d_minus_one():
         spec = irreducible_cyclic_code(q, k, N)
         d = gcd(N, (q**k - 1) // (q - 1))
         eps = epsilon_bound(spec)
-        report = run_pipeline(q, k, N, eps, seed=0)
+        report = run_pipeline_trials(q, k, N, eps, [0])[0]
         assert report.oracle_calls == d - 1
         assert report.num_cosets == sum(1 for _ in iter_coset_leaders(N, q))
 
 
 def test_pipeline_report_roundtrip():
-    report = run_pipeline(2, 4, 3, 0.125, seed=7)
+    report = run_pipeline_trials(2, 4, 3, 0.125, [7])[0]
     doc = report.to_dict()
     assert json.loads(json.dumps(doc)) == doc
     assert doc["recovered_spectrum"] == report.recovered_spectrum.to_dict()
@@ -255,7 +254,7 @@ def test_report_keys():
     assert set(membership.to_dict()) == {
         "q", "k", "N", "epsilon", "n_integral", "order_ok", "n", "theta",
         "epsilon_bound", "epsilon_ok", "member", "failures"}
-    report = run_pipeline(2, 4, 3, 0.125, seed=7)
+    report = run_pipeline_trials(2, 4, 3, 0.125, [7])[0]
     assert set(report.to_dict()) == {
         "q", "k", "N", "n", "epsilon", "seed", "theta", "epsilon_bound", "d",
         "num_cosets", "oracle_calls", "injected_errors", "recovered_spectrum",
@@ -271,7 +270,8 @@ SEEDS = [0, -3, 1, 41, 2**33 + 5]
 def test_trials_equal_single_runs(q, k, N, eps, block_cells, monkeypatch):
     # one pass over all seeds, in one block or one trial per block, gives
     # each seed the report of its own run
-    singles = [run_pipeline(q, k, N, eps, seed, force=True).to_dict() for seed in SEEDS]
+    singles = [run_pipeline_trials(q, k, N, eps, [seed], force=True)[0].to_dict()
+               for seed in SEEDS]
     monkeypatch.setattr(pipeline, "_BLOCK_CELLS", block_cells)
     batch = run_pipeline_trials(q, k, N, eps, SEEDS, force=True)
     assert [r.to_dict() for r in batch] == singles
@@ -318,5 +318,5 @@ def test_seeds_must_be_integers():
     for bad in (1.0, "1", None):
         with pytest.raises(InvalidParameters):
             run_pipeline_trials(2, 4, 3, 0.125, [0, bad])
-    assert (run_pipeline(2, 4, 3, 0.125, np.int64(-1)).to_dict()
-            == run_pipeline(2, 4, 3, 0.125, -1).to_dict())
+    assert (run_pipeline_trials(2, 4, 3, 0.125, [np.int64(-1)])[0].to_dict()
+            == run_pipeline_trials(2, 4, 3, 0.125, [-1])[0].to_dict())
