@@ -67,7 +67,7 @@ def _polar(value: complex) -> GaussSumValue:
 
 def gauss_sum(j: int, beta: int, F: ExtField) -> GaussSumValue:
     """Exact O(q**k) summation of G(chi_j, e_beta) over the nonzero elements."""
-    F.check(beta)
+    beta = F.check(beta)
     M = F.group_order
     j = j % M
     tr = F.trace_table()

@@ -47,10 +47,6 @@ class CosetPartition:
     p: int
     cosets: tuple[Coset, ...]
 
-    @property
-    def num_cosets(self) -> int:
-        return len(self.cosets)
-
     def to_dict(self) -> dict:
         return {
             "N": self.N,

@@ -1,12 +1,12 @@
-"""Extension fields GF(q**k) with log/antilog tables.
+"""Extension fields GF(q**k) with exp and trace tables.
 
 Elements of GF(q**k) are plain ints in [0, q**k): the packed value
 sum(c_i * q**i) of the coefficient vector (c_0, ..., c_(k-1)) over GF(q).
 Zero is 0 and the multiplicative identity is 1. A field is its tables,
 read through a verified primitive element alpha: the packed value of
-each power of alpha, its discrete log, and its trace.
+each power of alpha and its trace. A discrete log searches the exp table.
 
-The exp, log and trace tables are int64 numpy arrays, built in one pass
+The exp and trace tables are int64 numpy arrays, built in one pass
 with no per-element Python loop. Multiplication by a fixed element is a
 GF(q)-linear map, a k x k matrix acting on coefficient vectors;
 poly.ModMulContext.matrices gives these matrices, reduced by the same
@@ -23,14 +23,16 @@ table of x**(k+j) mod the modulus that its multiply uses. So:
   is the matrix trace of multiplication by x**j.
 
 Every check raises rather than asserts, so it holds under python -O:
-alpha must reach every nonzero element exactly once and return to 1, and
-the trace table must take each value of GF(q) exactly q**(k-1) times over
-the field, as a nonzero linear functional does.
+alpha**(q**k - 1) must be the first power of alpha equal to 1, so that
+alpha reaches every nonzero element exactly once, and the trace table
+must take each value of GF(q) exactly q**(k-1) times over the field, as
+a nonzero linear functional does.
 
 Fields are immutable after construction and safe to share between any
 number of readers.
 """
 
+import operator
 from functools import lru_cache
 
 import numpy as np
@@ -54,19 +56,17 @@ def _unpack(v: int, q: int, k: int) -> list[int]:
 
 
 class ExtField:
-    """GF(q**k) built from a monic irreducible modulus, with full tables.
+    """GF(q**k) built from a monic irreducible modulus, with its tables.
 
     exp_table[i] is the packed value of alpha**i and trace_table()[i] is
-    Tr(alpha**i), for i in [0, q**k - 2]; log_table is the inverse of
-    exp_table on the nonzero elements, and log_table[0] is -1, never read
-    because dlog rejects 0. All three are int64 arrays, built in one pass
-    by _tables, which checks the order of alpha and the balance of the
-    trace. Constructed through build_ext_field. alpha_pow and dlog read
-    the tables with item(), so they return Python ints.
+    Tr(alpha**i), for i in [0, q**k - 2]. Both are int64 arrays, built in
+    one pass by _tables, which checks the order of alpha and the balance
+    of the trace. Constructed through build_ext_field. check, alpha_pow
+    and dlog return Python ints.
     """
 
     def __init__(self, q: int, k: int, modulus: tuple[int, ...], alpha: int,
-                 exp_table: np.ndarray, log_table: np.ndarray, trace: np.ndarray):
+                 exp_table: np.ndarray, trace: np.ndarray):
         self.q = q
         self.k = k
         self.modulus = modulus
@@ -74,13 +74,13 @@ class ExtField:
         self.group_order = q**k - 1
         self.alpha = alpha
         self.exp_table = exp_table
-        self.log_table = log_table
         self._trace = trace
 
     def check(self, a: int) -> int:
-        if not isinstance(a, int) or not 0 <= a < self.order:
+        """a, any integer type, as a Python int if it is in [0, q**k)."""
+        if not hasattr(type(a), "__index__") or not 0 <= operator.index(a) < self.order:
             raise FieldMismatch(f"{a!r} is not an element of GF({self.q}^{self.k})")
-        return a
+        return operator.index(a)
 
     def coeffs(self, a: int) -> tuple[int, ...]:
         """Coefficient vector (c_0, ..., c_(k-1)) of an element."""
@@ -91,10 +91,11 @@ class ExtField:
         return self.exp_table.item(i % self.group_order)
 
     def dlog(self, a: int) -> int:
-        """Exponent i with alpha**i == a; a must be nonzero."""
-        if self.check(a) == 0:
+        """Exponent i with alpha**i == a != 0, found in the exp table."""
+        a = self.check(a)
+        if a == 0:
             raise LogOfZero("discrete log of zero")
-        return self.log_table.item(a)
+        return int((self.exp_table == a).argmax())
 
     def trace_table(self) -> np.ndarray:
         """Tr(alpha**m) for m in [0, q**k - 2] as an int64 array."""
@@ -151,23 +152,22 @@ def _primitive_element(modulus: list[int], ctx: poly.ModMulContext, q: int) -> i
 
 
 def _tables(mul: np.ndarray, t: np.ndarray, q: int,
-            k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """exp, log and trace tables of the alpha that mul multiplies by, as
-    int64 arrays, given t_j = Tr(x**j).
+            k: int) -> tuple[np.ndarray, np.ndarray]:
+    """exp and trace tables of the alpha that mul multiplies by, as int64
+    arrays, given t_j = Tr(x**j).
 
     Block doubling fills the first chunk of powers: rows [B, 2B) of the
     digit table are rows [0, B) times the matrix of alpha**B. Every later
     chunk's digits are the first chunk's times the matrix of alpha**start,
     so one chunk of digits is held at a time. Each chunk's digit rows give
     its exp values (times the powers of q) and its traces (times t, mod q,
-    as the trace is GF(q)-linear), and log is filled as chunks arrive.
-    All products are int64 sums of at most k * (q-1)**2, so exact for any
-    field whose tables fit in memory.
+    as the trace is GF(q)-linear). All products are int64 sums of at
+    most k * (q-1)**2, so exact for any field whose tables fit in memory.
 
-    Raises InvalidParameters unless alpha**m hits every nonzero element
-    exactly once for m < q**k - 1 and alpha**(q**k - 1) == 1, and
-    OrderMismatch unless the trace takes each value of GF(q) exactly
-    q**(k-1) times over the field, as a nonzero linear functional does.
+    Raises InvalidParameters unless alpha**m != 1 for 0 < m < q**k - 1
+    and alpha**(q**k - 1) == 1, and OrderMismatch unless the trace takes
+    each value of GF(q) exactly q**(k-1) times over the field, as a
+    nonzero linear functional does.
     """
     group_order = q**k - 1
     qpow = q ** np.arange(k, dtype=np.int64)
@@ -183,17 +183,19 @@ def _tables(mul: np.ndarray, t: np.ndarray, q: int,
     first = digits = _digits(block, q, k)
     exp = np.empty(group_order, dtype=np.int64)
     trace = np.empty(group_order, dtype=np.int64)
-    log = np.full(q**k, -1, dtype=np.int64)
     jump = step
     for start in range(0, group_order, size):
         if start:
             digits = first[:group_order - start] @ jump % q
             jump = jump @ step % q
-        block = digits @ qpow
-        exp[start:start + size] = block
+        exp[start:start + size] = digits @ qpow
         trace[start:start + size] = digits @ t % q
-        log[block] = np.arange(start, start + len(block))
-    if (log[1:] < 0).any():
+    # These two checks make alpha primitive and the modulus irreducible:
+    # alpha**G == 1 (G = q**k - 1) makes alpha a unit, and no power 1
+    # below G makes its order exactly G, so alpha**0, ..., alpha**(G-1)
+    # are G distinct units. A ring of q**k elements has at most G units,
+    # so these are all its nonzero elements, and the ring is a field.
+    if (exp[1:] == 1).any():
         raise InvalidParameters("alpha has order below q^k - 1")
     if digits[-1] @ mul % q @ qpow != 1:
         raise InvalidParameters("alpha**(q^k - 1) != 1")
@@ -201,7 +203,7 @@ def _tables(mul: np.ndarray, t: np.ndarray, q: int,
     counts[0] += 1  # the zero element
     if (counts != q ** (k - 1)).any():
         raise OrderMismatch("trace is not balanced over the base field")
-    return exp, log, trace
+    return exp, trace
 
 
 def build_ext_field(q: int, k: int) -> ExtField:

@@ -65,14 +65,10 @@ def poly_divmod(a: list[int], b: list[int], q: int) -> tuple[list[int], list[int
     return trim(quot), trim([c % q for c in rem])
 
 
-def poly_mod(a: list[int], b: list[int], q: int) -> list[int]:
-    return poly_divmod(a, b, q)[1]
-
-
 def poly_gcd(a: list[int], b: list[int], q: int) -> list[int]:
     """Monic greatest common divisor."""
     while b:
-        a, b = b, poly_mod(a, b, q)
+        a, b = b, poly_divmod(a, b, q)[1]
     if a:
         inv = pow(a[-1], -1, q)
         a = [(c * inv) % q for c in a]

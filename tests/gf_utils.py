@@ -144,9 +144,9 @@ def trace_words(spec):
 
 def character(j, x, F):
     """chi_j(x) = exp(2*pi*i * j * log(x) / (q**k - 1)) for x != 0, the
-    log read from F.log_table."""
+    log read from F.dlog."""
     M = F.group_order
-    return cmath.exp(2j * cmath.pi * (j * int(F.log_table[x]) % M) / M)
+    return cmath.exp(2j * cmath.pi * (j * F.dlog(x) % M) / M)
 
 
 # -- per-element field builder, the reference for cycenum.field ----------

@@ -49,7 +49,7 @@ def test_paper_partition_16_3():
 
 def test_singleton_domain():
     part = coset_leaders(1, 2)
-    assert part.num_cosets == 1
+    assert len(part.cosets) == 1
     assert part.cosets[0] == Coset(0, 1)
 
 
@@ -69,7 +69,7 @@ def test_15_2_c7_members_orbit_order():
 
 def test_identity_multiplier_gives_singletons():
     part = cosets_full(7, 8)  # 8 = 1 mod 7
-    assert part.num_cosets == 7
+    assert len(part.cosets) == 7
     assert all(c.size == 1 for c in part.cosets)
 
 
@@ -94,7 +94,7 @@ def test_partition_property_sweep(p):
             union.extend(c.members)
         assert sorted(union) == list(range(N))
         assert sum(c.size for c in part.cosets) == N
-        assert part.num_cosets == coset_count_formula(N, p)
+        assert len(part.cosets) == coset_count_formula(N, p)
 
 
 @settings(max_examples=80, deadline=None)
@@ -107,7 +107,7 @@ def test_partition_and_count_random(N, p):
         return
     part = coset_leaders(N, p)
     assert sum(c.size for c in part.cosets) == N
-    assert part.num_cosets == coset_count_formula(N, p)
+    assert len(part.cosets) == coset_count_formula(N, p)
 
 
 def test_multiplicative_order_examples():
@@ -121,7 +121,7 @@ def test_multiplicative_order_examples():
 def test_count_formula_examples():
     assert coset_count_formula(1, 3) == 1
     assert coset_count_formula(15, 2) == 5
-    assert coset_count_formula(15, 2) == coset_leaders(15, 2).num_cosets
+    assert coset_count_formula(15, 2) == len(coset_leaders(15, 2).cosets)
     with pytest.raises(NotCoprime):
         coset_count_formula(16, 4)
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import cycenum
-from cycenum import build_ext_field, field
+from cycenum import build_ext_field, field, gauss_sum
 from cycenum.errors import (FieldMismatch, InvalidParameters, LogOfZero, NotPrime,
                             OrderMismatch, TableCapExceeded)
 from cycenum.intmath import divisors, is_prime
@@ -113,10 +113,24 @@ def test_alpha_is_primitive(q, k):
 
 
 def test_table_inverses_everywhere():
-    F = build_ext_field(3, 3)
-    assert F.log_table[F.exp_table].tolist() == list(range(F.group_order))
-    with pytest.raises(LogOfZero):
-        F.dlog(0)
+    for q, k in [(2, 8), (3, 3), (5, 3), (251, 1)]:
+        F = build_ext_field(q, k)
+        assert [F.dlog(F.exp_table[m]) for m in range(F.group_order)] == list(range(F.group_order))
+        with pytest.raises(LogOfZero):
+            F.dlog(0)
+
+
+def test_numpy_integers_are_elements():
+    F = build_ext_field(2, 4)
+    assert F.dlog(F.exp_table[5]) == 5
+    assert F.coeffs(np.int64(3)) == F.coeffs(3) == (1, 1, 0, 0)
+    assert gauss_sum(1, F.exp_table[2], F) == gauss_sum(1, F.alpha_pow(2), F)
+    assert F.dlog(True) == 0
+    for value in (F.check(np.int64(7)), F.check(np.uint8(7)), F.check(True)):
+        assert type(value) is int
+    for bad in (3.0, np.float64(3), "3", None, int, np.int64(16)):
+        with pytest.raises(FieldMismatch):
+            F.check(bad)
 
 
 def test_coeffs_roundtrip():
@@ -179,14 +193,25 @@ def cold_fields():
 
 
 def _tables_of(F):
-    """The tables as lists, with the reference's None for the log of 0."""
-    return (F.modulus, F.alpha, F.exp_table.tolist(), [None] + F.log_table[1:].tolist(),
-            F.trace_table().tolist())
+    """Modulus, alpha, exp and trace tables, as reference_field lists them."""
+    return F.modulus, F.alpha, F.exp_table.tolist(), F.trace_table().tolist()
 
 
 @pytest.mark.parametrize("q,k", REFERENCE_FIELDS, ids=[f"{q}^{k}" for q, k in REFERENCE_FIELDS])
 def test_tables_match_per_element_reference(cold_fields, q, k):
-    assert _tables_of(build_ext_field(q, k)) == reference_field(q, k)
+    F = build_ext_field(q, k)
+    modulus, alpha, exp_table, log_table, trace_table = reference_field(q, k)
+    assert _tables_of(F) == (modulus, alpha, exp_table, trace_table)
+    if F.order <= 1 << 8:
+        assert [F.dlog(a) for a in range(1, F.order)] == log_table[1:]
+
+
+@pytest.mark.parametrize("q,k", [(2, 1), (2, 12), (3, 7), (65521, 1)])
+def test_field_holds_exp_and_trace_only(q, k):
+    # 8 bytes per nonzero element in each of the two int64 tables
+    F = build_ext_field(q, k)
+    arrays = [v for v in vars(F).values() if isinstance(v, np.ndarray)]
+    assert sum(a.nbytes for a in arrays) == 16 * (q**k - 1)
 
 
 def test_cache_key_ignores_call_spelling(cold_fields):
@@ -225,6 +250,14 @@ def test_non_primitive_alpha_raises(monkeypatch, cold_fields):
         build_ext_field(2, 4)
 
 
+@pytest.mark.parametrize("modulus", [[1, 0, 0, 0, 1], [1, 1, 0, 1, 1]],
+                         ids=["(x+1)^4", "(x+1)^2(x^2+x+1)"])
+def test_reducible_modulus_raises(monkeypatch, cold_fields, modulus):
+    monkeypatch.setattr(field.poly, "find_irreducible", lambda q, k: modulus)
+    with pytest.raises(InvalidParameters, match="order below"):
+        build_ext_field(2, 4)
+
+
 def test_table_checks_hold_under_python_O():
     script = "\n".join([
         "from cycenum import build_ext_field, field",
@@ -238,6 +271,15 @@ def test_table_checks_hold_under_python_O():
         "except InvalidParameters:",
         "    pass",
         "field._primitive_element = primitive",
+        "irreducible = field.poly.find_irreducible",
+        "field.poly.find_irreducible = lambda q, k: [1, 0, 0, 0, 1]",
+        "build_ext_field.cache_clear()",
+        "try:",
+        "    build_ext_field(2, 4)",
+        "    raise SystemExit('a reducible modulus was accepted')",
+        "except InvalidParameters:",
+        "    pass",
+        "field.poly.find_irreducible = irreducible",
         "field._tables = lambda mul, t, q, k: tables(mul, 0 * t, q, k)",
         "build_ext_field.cache_clear()",
         "try:",

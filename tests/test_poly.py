@@ -21,7 +21,7 @@ def naive_is_irreducible(p, q):
         return False
     for d in range(1, deg // 2 + 1):
         for g in all_monic(q, d):
-            if not poly.poly_mod(p, g, q):
+            if not poly.poly_divmod(p, g, q)[1]:
                 return False
     return True
 
