@@ -31,7 +31,6 @@ from .cosets import (
 )
 from .field import DEFAULT_TABLE_CAP, ExtField, build_ext_field
 from .pipeline import (
-    IcqParams,
     MembershipReport,
     PipelineReport,
     digit_sum,
@@ -60,7 +59,7 @@ __all__ = [
     "Coset", "CosetPartition", "coset_count_formula", "coset_leaders",
     "cosets_full", "iter_coset_leaders", "multiplicative_order",
     "DEFAULT_TABLE_CAP", "ExtField", "build_ext_field",
-    "IcqParams", "MembershipReport", "PipelineReport", "digit_sum",
+    "MembershipReport", "PipelineReport", "digit_sum",
     "epsilon_bound", "icq_membership", "noisy_gauss_oracle",
     "run_pipeline_trials", "theta",
     "WeightEnumerator", "WeightSpectrum",

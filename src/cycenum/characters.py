@@ -66,17 +66,23 @@ def _polar(value: complex) -> GaussSumValue:
 
 
 def gauss_sum(j: int, beta: int, F: ExtField) -> GaussSumValue:
-    """Exact O(q**k) summation of G(chi_j, e_beta) over the nonzero elements."""
+    """Exact O(q**k) summation of G(chi_j, e_beta) over the nonzero elements.
+
+    At beta = 0 the value is exact without a sum: q**k - 1 for j = 0 mod
+    q**k - 1, and otherwise 0, which raises PhaseOfZero."""
     beta = F.check(beta)
     M = F.group_order
     j = j % M
-    tr = F.trace_table()
     if beta == 0:
-        add_angles = np.zeros(M)
-    else:
-        add_angles = _TWO_PI / F.q * np.roll(tr, -F.dlog(beta))
-    mult_angles = _TWO_PI / M * ((j * np.arange(M)) % M)
-    return _polar(complex(np.exp(1j * (mult_angles + add_angles)).sum()))
+        # e_0 is trivial: the sum is M for the trivial chi_j and exactly 0
+        # for any other, whose phase is undefined
+        return _polar(complex(M if j == 0 else 0))
+    # summed in place: the same float operations per term, in the same order
+    angles = _TWO_PI / M * ((j * np.arange(M)) % M)
+    angles += _TWO_PI / F.q * np.roll(F.trace_table(), -F.dlog(beta))
+    terms = 1j * angles
+    del angles
+    return _polar(complex(np.exp(terms, out=terms).sum()))
 
 
 def order_d_character_sums(spec: CodeSpec) -> list[GaussSumValue]:

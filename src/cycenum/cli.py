@@ -21,7 +21,7 @@ from .cosets import coset_count_formula, coset_leaders, cosets_full, multiplicat
 from .characters import gauss_sum
 from .errors import CycenumError, InvalidParameters, SpectrumMismatch
 from .field import DEFAULT_TABLE_CAP, build_ext_field
-from .pipeline import IcqParams, _bound, _theta, icq_membership, run_pipeline_trials
+from .pipeline import _bound, _theta, icq_membership, run_pipeline_trials
 from .weights import (
     WeightEnumerator,
     macwilliams_dual,
@@ -202,7 +202,7 @@ def cmd_theta(args) -> tuple[dict, Iterable[str]]:
 
 
 def cmd_icq_check(args) -> tuple[dict, Iterable[str]]:
-    report = icq_membership(IcqParams(args.q, args.k, args.N, args.epsilon))
+    report = icq_membership(args.q, args.k, args.N, args.epsilon)
     payload = report.to_dict()
     lines = [
         f"n integral:   {report.n_integral} (n = {report.n})",

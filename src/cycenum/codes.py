@@ -25,7 +25,7 @@ import numpy as np
 from . import field, poly
 from .cosets import coset_count_formula, coset_leaders, multiplicative_order
 from .errors import InvalidParameters, NoDegreeKFactor, OrderMismatch, SpectrumMismatch
-from .field import ExtField, _check_field_params, _unpack, build_ext_field
+from .field import ExtField, _check_field_params, build_ext_field
 from .intmath import check_prime, euler_phi, factorize
 
 __all__ = [
@@ -87,7 +87,7 @@ def _element_of_order(ctx: poly.ModMulContext, f: int) -> np.ndarray:
     cofactor = (q**k - 1) // f
     primes = list(factorize(f)) if f > 1 else []
     for v in range(q if k >= 2 else 2, q**k):
-        eta = ctx.pow(np.array(_unpack(v, q, k), dtype=np.int64), cofactor)
+        eta = ctx.pow(np.array(poly.unpack(v, q, k), dtype=np.int64), cofactor)
         if np.array_equal(eta, one):
             continue
         if all(not np.array_equal(ctx.pow(eta, f // p), one) for p in primes):

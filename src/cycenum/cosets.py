@@ -1,7 +1,7 @@
 """Cyclotomic cosets of {0, ..., N-1} under multiplication by p.
 
-The enumeration is a sieve: one mark bit per element, each orbit walked
-exactly once, so the whole partition costs O(N) time and N bits of
+The enumeration is a sieve: one mark byte per element, each orbit walked
+exactly once, so the whole partition costs O(N) time and N bytes of
 storage. iter_coset_leaders streams (leader, size) pairs and never
 materializes member lists, which keeps very large N feasible;
 cosets_full walks each leader's orbit once more to list its members.
@@ -67,14 +67,14 @@ def _validate(N: int, p: int) -> None:
 def iter_coset_leaders(N: int, p: int):
     """Yield (leader, size) pairs in increasing leader order via the sieve."""
     _validate(N, p)
-    marks = bytearray((N + 7) >> 3)
+    marks = bytearray(N)
     for i in range(N):
-        if marks[i >> 3] & (1 << (i & 7)):
+        if marks[i]:
             continue
         a = i
         size = 0
-        while not marks[a >> 3] & (1 << (a & 7)):
-            marks[a >> 3] |= 1 << (a & 7)
+        while not marks[a]:
+            marks[a] = 1
             size += 1
             a = a * p % N
         yield i, size

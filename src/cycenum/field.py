@@ -47,14 +47,6 @@ _CHUNK = 1 << 12  # rows of digit work held at once; a power of two
 _SCAN = 32  # primitive-element candidates tested per batch
 
 
-def _unpack(v: int, q: int, k: int) -> list[int]:
-    out = []
-    for _ in range(k):
-        out.append(v % q)
-        v //= q
-    return out
-
-
 class ExtField:
     """GF(q**k) built from a monic irreducible modulus, with its tables.
 
@@ -84,7 +76,7 @@ class ExtField:
 
     def coeffs(self, a: int) -> tuple[int, ...]:
         """Coefficient vector (c_0, ..., c_(k-1)) of an element."""
-        return tuple(_unpack(self.check(a), self.q, self.k))
+        return tuple(poly.unpack(self.check(a), self.q, self.k))
 
     def alpha_pow(self, i: int) -> int:
         """alpha**i, i.e. the element Exp(i mod (q**k - 1))."""

@@ -34,7 +34,6 @@ from .intmath import check_prime
 from .weights import WeightSpectrum, _exact_spectrum, _formula_inputs, _s_values, _tally
 
 __all__ = [
-    "IcqParams",
     "MembershipReport",
     "PipelineReport",
     "digit_sum",
@@ -93,22 +92,6 @@ def _check_epsilon(epsilon: float) -> None:
                                 "at most half the largest float")
 
 
-@dataclass(frozen=True)
-class IcqParams:
-    """Parameters of a candidate code: n = (q**k - 1)/N, where the paper's
-    class has N = alpha * k**s."""
-
-    q: int
-    k: int
-    N: int
-    epsilon: float
-
-    def __post_init__(self):
-        if self.N <= 0:
-            raise InvalidParameters(f"N = alpha * k^s = {self.N} is not a positive integer")
-        _check_epsilon(self.epsilon)
-
-
 @dataclass
 class MembershipReport:
     """Clause-by-clause result of the class-membership check."""
@@ -129,18 +112,23 @@ class MembershipReport:
     to_dict = asdict
 
 
-def icq_membership(params: IcqParams) -> MembershipReport:
-    """Check the three membership clauses, returning all diagnostics.
+def icq_membership(q: int, k: int, N: int, epsilon: float) -> MembershipReport:
+    """Check the three membership clauses for the candidate code of length
+    n = (q**k - 1)/N, where the paper's class has N = alpha * k**s.
 
     Failures are decisions, not errors: n integral, ord_n(q) = k, and
     epsilon within the recovery bound are each reported separately. Each
     clause is integer arithmetic on q, k and N, theta included, so no
     field is built; q must be prime once the n and order clauses pass.
+    Errors are raised first for N <= 0, then for an epsilon that is not
+    positive and finite, then for q**k over the table cap.
     """
-    q, k, N, eps = params.q, params.k, params.N, params.epsilon
+    if N <= 0:
+        raise InvalidParameters(f"N = alpha * k^s = {N} is not a positive integer")
+    _check_epsilon(epsilon)
     _check_table_cap(q, k)
     failures: list[str] = []
-    if not eps < 1:
+    if not epsilon < 1:
         failures.append("EpsilonNotBelowOne")
     total = q**k - 1
     n_integral = total % N == 0
@@ -159,11 +147,11 @@ def icq_membership(params: IcqParams) -> MembershipReport:
             failures.append("NonIntegralTheta")
         else:
             bound = _bound(q, k, theta_val)
-            epsilon_ok = eps <= bound
+            epsilon_ok = epsilon <= bound
             if not epsilon_ok:
                 failures.append("EpsilonExceedsBound")
     return MembershipReport(
-        q=q, k=k, N=N, epsilon=eps,
+        q=q, k=k, N=N, epsilon=epsilon,
         n_integral=n_integral, order_ok=order_ok, n=n,
         theta=theta_val, epsilon_bound=bound, epsilon_ok=epsilon_ok,
         member=not failures, failures=failures,
@@ -227,7 +215,7 @@ def run_pipeline_trials(q: int, k: int, N: int, epsilon: float, seeds,
         seeds = [operator.index(seed) for seed in seeds]
     except TypeError as exc:
         raise InvalidParameters(f"seeds must be integers: {exc}") from None
-    membership = icq_membership(IcqParams(q, k, N, epsilon))
+    membership = icq_membership(q, k, N, epsilon)
     if not membership.member and not force:
         raise MembershipFailed(", ".join(membership.failures))
     # forced past a failed clause, building the code, or its theta,

@@ -75,6 +75,16 @@ def poly_gcd(a: list[int], b: list[int], q: int) -> list[int]:
     return a
 
 
+def unpack(v: int, q: int, k: int) -> list[int]:
+    """The k base-q digits of v >= 0, low first: the coefficients of the
+    polynomial with packed value v = sum(c_i * q**i)."""
+    out = []
+    for _ in range(k):
+        out.append(v % q)
+        v //= q
+    return out
+
+
 def x_pow_n_minus_1(n: int, q: int) -> list[int]:
     p = [0] * (n + 1)
     p[0] = q - 1
@@ -102,10 +112,11 @@ def to_string(p: list[int]) -> str:
 class ModMulContext:
     """Multiplication modulo a fixed monic polynomial, numpy-backed.
 
-    Reduction of a product (degree <= 2K-2) is one matrix product with a
-    precomputed (K-1) x K table of x^(K+j) mod m, so a modular multiply
-    costs two small C-level ops. The same table reduces a whole matrix of
-    products in matrices().
+    Every element is a coefficient vector of length k. One fold, _fold,
+    reduces a product (degree <= 2k-2) by one matrix product with a
+    precomputed (k-1) x k table of x^(k+j) mod m, so a modular multiply
+    costs two small C-level ops; matrices() reduces a whole stack of
+    products with the same fold.
     """
 
     def __init__(self, modulus: list[int], q: int):
@@ -131,16 +142,14 @@ class ModMulContext:
                     cur[i] = (cur[i] - top * modulus[i]) % q
         self._rows = rows
 
+    def _fold(self, c: np.ndarray) -> np.ndarray:
+        """Reduce unreduced products (..., 2k - 1) to (..., k): the x**(k+j)
+        part is folded back by the table of x**(k+j) mod m."""
+        return (c[..., :self.k] + c[..., self.k:] @ self._rows) % self.q
+
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        q, k = self.q, self.k
-        c = np.convolve(a, b) % q
-        if len(c) <= k:
-            out = np.zeros(k, dtype=np.int64)
-            out[: len(c)] = c
-            return out
-        head = np.zeros(k, dtype=np.int64)
-        head[: k] = c[:k]
-        return (head + c[k:] @ self._rows[: len(c) - k]) % q
+        """a * b mod m for coefficient vectors a and b of length k."""
+        return self._fold(np.convolve(a, b) % self.q)
 
     def matrices(self, a: np.ndarray) -> np.ndarray:
         """The k x k matrices of multiplication by each vector in a (..., k).
@@ -149,8 +158,8 @@ class ModMulContext:
         the coefficient vector of b * a for any row vector b. The unreduced
         rows a * x**i, of length 2k - 1, come from one zero buffer of k rows
         of 2k: a is written at the start of each row, and reading the buffer
-        back in rows of 2k - 1 shifts row i right by i. Their x**(k+j) parts
-        are then folded back with the table that mul uses.
+        back in rows of 2k - 1 shifts row i right by i. They are then
+        reduced by the fold that mul uses.
         """
         k = self.k
         a = np.asarray(a, dtype=np.int64)
@@ -158,8 +167,7 @@ class ModMulContext:
         buf = np.zeros(batch + (k, 2 * k), dtype=np.int64)
         buf[..., :k] = a[..., None, :]
         shifts = buf.reshape(batch + (2 * k * k,))[..., :k * (2 * k - 1)]
-        shifts = shifts.reshape(batch + (k, 2 * k - 1))
-        return (shifts[..., :k] + shifts[..., k:] @ self._rows) % self.q
+        return self._fold(shifts.reshape(batch + (k, 2 * k - 1)))
 
     def pow(self, a: np.ndarray, e: int) -> np.ndarray:
         """a**e mod modulus by square-and-multiply, for e >= 0."""
@@ -238,12 +246,7 @@ def find_irreducible(q: int, k: int) -> list[int]:
     binomials_reducible = (any((q - 1) % r for r in factorize(k))
                            or (k % 4 == 0 and q % 4 == 3))
     for v in range(q if binomials_reducible else 0, q**k):
-        coeffs = []
-        t = v
-        for _ in range(k):
-            coeffs.append(t % q)
-            t //= q
-        cand = coeffs + [1]
+        cand = unpack(v, q, k) + [1]
         if is_irreducible(cand, q):
             return cand
     raise NoIrreducibleFound(f"no irreducible of degree {k} over GF({q})")

@@ -91,6 +91,16 @@ def test_phase_of_zero_value():
         gauss_sum(3, 0, F)  # trivial additive character, nontrivial chi: sum is 0
 
 
+@pytest.mark.parametrize("q,k,j", [(2, 16, 3), (2, 20, 1), (3, 12, 2), (5, 8, 7)])
+def test_phase_of_zero_on_large_fields(q, k, j):
+    # a nontrivial chi_j sums to exactly 0 over the group; a float sum of
+    # q**k - 1 terms leaves noise above the 1e-12 zero guard on these fields
+    F = build_ext_field(q, k)
+    with pytest.raises(PhaseOfZero):
+        gauss_sum(j, 0, F)
+    assert gauss_sum(F.group_order, 0, F).value == F.group_order
+
+
 def test_order_d_sums_simplex_empty():
     spec = irreducible_cyclic_code(2, 4, 1)
     assert order_d_character_sums(spec) == []

@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 
 import cycenum
 from cycenum import (
-    IcqParams,
     build_ext_field,
     cosets_full,
     gauss_sum,
@@ -177,7 +176,7 @@ def test_icq_check_roundtrip(capsys):
                              "--epsilon", "0.6", "--json")
     assert code == 0 and err == ""
     doc = json.loads(out)
-    assert doc == {"schema": 1, **icq_membership(IcqParams(2, 4, 1, 0.6)).to_dict()}
+    assert doc == {"schema": 1, **icq_membership(2, 4, 1, 0.6).to_dict()}
     assert not doc["member"]
     assert doc["failures"] == ["EpsilonExceedsBound"]
 
@@ -531,7 +530,7 @@ ARGV = {
               st.just("--seed"), st.integers(-2**40, 2**40).map(str), st.just("--trials"),
               st.one_of(st.sampled_from(["1", "3"]), st.sampled_from(["-1", "0"])),
               _flags("--force", "--json")),
-        # an epsilon IcqParams refuses, after the --trials check
+        # an epsilon icq_membership refuses, after the --trials check
         _argv(_code(), st.just("--epsilon"), st.sampled_from(["nan", "inf", "0", "-1"]),
               st.just("--seed"), st.just("1"), st.just("--trials"),
               st.sampled_from([MAX_TRIALS, MAX_TRIALS + 1]).map(str),

@@ -74,7 +74,7 @@ def test_identity_multiplier_gives_singletons():
 
 
 def test_streaming_matches_materialized():
-    for N, p in ((16, 3), (15, 2), (100, 7), (1, 5)):
+    for N, p in ((16, 3), (15, 2), (100, 7), (1, 5), (65537, 2)):
         stream = list(iter_coset_leaders(N, p))
         full = cosets_full(N, p)
         assert stream == [(c.leader, c.size) for c in full.cosets]

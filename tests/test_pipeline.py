@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cycenum import (
-    IcqParams,
     PipelineReport,
     digit_sum,
     epsilon_bound,
@@ -21,6 +20,7 @@ from cycenum.errors import (
     InvalidParameters,
     MembershipFailed,
     NonIntegralTheta,
+    TableCapExceeded,
 )
 from cycenum import pipeline
 
@@ -68,39 +68,46 @@ def test_bound_shrinks_with_k_at_fixed_theta():
 
 
 def test_membership_decisions():
-    member = icq_membership(IcqParams(2, 4, 1, 0.4))
+    member = icq_membership(2, 4, 1, 0.4)
     assert member.member and member.epsilon_ok
     assert member.failures == []
 
-    over = icq_membership(IcqParams(2, 4, 1, 0.6))
+    over = icq_membership(2, 4, 1, 0.6)
     assert not over.member
     assert over.failures == ["EpsilonExceedsBound"]
     assert over.epsilon_bound == 0.5
 
-    frac = icq_membership(IcqParams(2, 4, 7, 0.1))
+    frac = icq_membership(2, 4, 7, 0.1)
     assert not frac.member and not frac.n_integral
     assert "IntegralityFailed" in frac.failures
 
-    order = icq_membership(IcqParams(2, 4, 5, 0.1))
+    order = icq_membership(2, 4, 5, 0.1)
     assert not order.member and order.n_integral and not order.order_ok
     assert "OrderCheckFailed" in order.failures
 
-    big_eps = icq_membership(IcqParams(2, 4, 1, 1.5))
+    big_eps = icq_membership(2, 4, 1, 1.5)
     assert not big_eps.member
     assert "EpsilonNotBelowOne" in big_eps.failures
 
-    degenerate = icq_membership(IcqParams(3, 1, 2, 0.1))
+    degenerate = icq_membership(3, 1, 2, 0.1)
     assert not degenerate.member
     assert "NonIntegralTheta" in degenerate.failures
 
 
 def test_icq_params_validation():
+    # N first, then epsilon, then the table cap
     for N in (0, -3):
         with pytest.raises(InvalidParameters, match="is not a positive integer"):
-            IcqParams(q=2, k=3, N=N, epsilon=0.1)
-    with pytest.raises(InvalidParameters):
-        IcqParams(q=2, k=3, N=7, epsilon=0.0)
-    p = IcqParams(q=2, k=2, N=3 * 2**2, epsilon=0.1)  # N = alpha * k^s, alpha 3, s 2
+            icq_membership(q=2, k=3, N=N, epsilon=0.1)
+        with pytest.raises(InvalidParameters, match="is not a positive integer"):
+            icq_membership(q=2, k=30, N=N, epsilon=0.0)
+    with pytest.raises(InvalidParameters, match="must be positive"):
+        icq_membership(q=2, k=3, N=7, epsilon=0.0)
+    with pytest.raises(InvalidParameters, match="must be positive"):
+        icq_membership(q=2, k=30, N=7, epsilon=float("nan"))
+    with pytest.raises(TableCapExceeded):
+        icq_membership(q=2, k=30, N=7, epsilon=0.1)
+    p = icq_membership(q=2, k=2, N=3 * 2**2, epsilon=0.1)  # N = alpha * k^s, alpha 3, s 2
     assert (p.q, p.k, p.N, p.epsilon) == (2, 2, 12, 0.1)
 
 
@@ -110,13 +117,13 @@ def test_membership_builds_no_field(monkeypatch):
         raise AssertionError("icq_membership built the code")
 
     monkeypatch.setattr(pipeline, "irreducible_cyclic_code", no_build)
-    report = icq_membership(IcqParams(2, 22, 3, 0.001))
+    report = icq_membership(2, 22, 3, 0.001)
     assert report.member and report.n == (2**22 - 1) // 3
     assert (report.theta, report.epsilon_bound) == (11, 2**10 / (4 * 2**11))
 
 
 def test_membership_report_roundtrip():
-    report = icq_membership(IcqParams(2, 4, 3, 0.1))
+    report = icq_membership(2, 4, 3, 0.1)
     doc = report.to_dict()
     assert json.loads(json.dumps(doc)) == doc
     assert list(doc.values()) == [getattr(report, key) for key in doc]
@@ -250,7 +257,7 @@ def test_forced_run_raises_the_failed_clause(q, k, N, error):
 
 
 def test_report_keys():
-    membership = icq_membership(IcqParams(2, 4, 3, 0.1))
+    membership = icq_membership(2, 4, 3, 0.1)
     assert set(membership.to_dict()) == {
         "q", "k", "N", "epsilon", "n_integral", "order_ok", "n", "theta",
         "epsilon_bound", "epsilon_ok", "member", "failures"}

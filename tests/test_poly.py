@@ -183,6 +183,29 @@ def test_frobenius_matrix_is_qth_power(q, k):
         assert np.array_equal(orbit[2], ctx.pow(v, q * q))
 
 
+@pytest.mark.parametrize("q,k", [(2, 1), (13, 1), (2, 12), (3, 7), (2, 48)])
+def test_mul_and_matrices_share_one_fold(q, k):
+    # k = 1 has an empty table: the fold's high part is empty
+    modulus = poly.find_irreducible(q, k)
+    ctx = poly.ModMulContext(modulus, q)
+    rng = np.random.default_rng(q * 100 + k)
+    for a, b in rng.integers(0, q, size=(20, 2, k)):
+        c = ctx.mul(a, b)
+        assert c.shape == (k,)
+        assert np.array_equal(c, b @ ctx.matrices(a) % q)
+        # against schoolbook multiply and long division
+        rem = poly.poly_divmod(poly.poly_mul(a.tolist(), b.tolist(), q), modulus, q)[1]
+        assert c.tolist() == rem + [0] * (k - len(rem))
+
+
+@pytest.mark.parametrize("q,k", [(2, 1), (2, 5), (3, 4), (5, 3), (13, 2)])
+def test_unpack_is_the_inverse_of_packing(q, k):
+    for v in range(q**k):
+        digits = poly.unpack(v, q, k)
+        assert len(digits) == k and all(0 <= c < q for c in digits)
+        assert sum(c * q**i for i, c in enumerate(digits)) == v
+
+
 def test_mod_mul_context_refuses_int64_overflow():
     with pytest.raises(InvalidParameters):
         poly.ModMulContext([1, 0, 1], 2**61 - 1)
