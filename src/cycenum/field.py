@@ -14,10 +14,11 @@ table of x**(k+j) mod the modulus that its multiply uses. So:
 
 - alpha is found by raising the matrices of a batch of candidates to
   (q**k - 1)/p for every prime p at once;
-- the exp table is built by block doubling (rows [B, 2B) of the digit
-  table are rows [0, B) times the matrix of alpha**B) up to one chunk of
-  _CHUNK rows, and every later chunk is that first chunk times the matrix
-  of alpha**start, so a full q**k x k digit matrix is never held;
+- the first chunk of _CHUNK powers is filled by doubling in digit space
+  (rows [B, 2B) of the digit table are rows [0, B) times the matrix of
+  alpha**B, mod q), and every later chunk is that first chunk times the
+  matrix of alpha**start, one float64 product that is exact under the
+  table cap, so a full q**k x k digit matrix is never held;
 - the trace, a linear functional, is each chunk's digit rows times the
   vector of traces of the basis x**j, mod q, in the same pass; Tr(x**j)
   is the matrix trace of multiplication by x**j.
@@ -44,7 +45,7 @@ from .intmath import check_prime, factorize
 
 DEFAULT_TABLE_CAP = 1 << 22
 _CHUNK = 1 << 12  # rows of digit work held at once; a power of two
-_SCAN = 32  # primitive-element candidates tested per batch
+_SCAN = 8  # primitive-element candidates tested per batch
 
 
 class ExtField:
@@ -148,13 +149,16 @@ def _tables(mul: np.ndarray, t: np.ndarray, q: int,
     """exp and trace tables of the alpha that mul multiplies by, as int64
     arrays, given t_j = Tr(x**j).
 
-    Block doubling fills the first chunk of powers: rows [B, 2B) of the
-    digit table are rows [0, B) times the matrix of alpha**B. Every later
-    chunk's digits are the first chunk's times the matrix of alpha**start,
-    so one chunk of digits is held at a time. Each chunk's digit rows give
-    its exp values (times the powers of q) and its traces (times t, mod q,
-    as the trace is GF(q)-linear). All products are int64 sums of at
-    most k * (q-1)**2, so exact for any field whose tables fit in memory.
+    Doubling in digit space fills the first chunk of powers in place:
+    rows [B, 2B) of the digit table are rows [0, B) times the matrix of
+    alpha**B, mod q, an int64 product. Every later chunk's digits are the
+    first chunk's times the matrix of alpha**start, a float64 product
+    converted to int64 before the reduction mod q, so one chunk of digits
+    is held at a time. Each entry of that product is a sum of k products
+    of digits below q, at most k * (q-1)**2 <= 2**44 < 2**53 under
+    DEFAULT_TABLE_CAP, so the float64 product is exact. Each chunk's digit
+    rows give its exp values (times the powers of q) and its traces (times
+    t, mod q, as the trace is GF(q)-linear).
 
     Raises InvalidParameters unless alpha**m != 1 for 0 < m < q**k - 1
     and alpha**(q**k - 1) == 1, and OrderMismatch unless the trace takes
@@ -164,21 +168,32 @@ def _tables(mul: np.ndarray, t: np.ndarray, q: int,
     group_order = q**k - 1
     qpow = q ** np.arange(k, dtype=np.int64)
     size = min(_CHUNK, group_order)
-    block = np.ones(1, dtype=np.int64)
+    first = np.zeros((size, k), dtype=np.int64)
+    first[0, 0] = 1
     step = mul
-    while len(block) < size:
-        head = block[:size - len(block)]
-        block = np.concatenate([block, _digits(head, q, k) @ step % q @ qpow])
+    have = 1
+    while have < size:
+        m = min(have, size - have)
+        first[have:have + m] = first[:m] @ step % q
         step = step @ step % q
+        have += m
     # size is _CHUNK, a power of two, whenever a later chunk exists, so
     # step is now the matrix of alpha**size.
-    first = digits = _digits(block, q, k)
+    digits = first
     exp = np.empty(group_order, dtype=np.int64)
     trace = np.empty(group_order, dtype=np.int64)
     jump = step
     for start in range(0, group_order, size):
         if start:
-            digits = first[:group_order - start] @ jump % q
+            if start == size:
+                # float64 from here on, and the int64 copy goes; a field
+                # of one chunk never converts
+                first = digits = first.astype(np.float64)
+            # Exact in float64: each entry is at most k * (q-1)**2 <= 2**44
+            # < 2**53 under the table cap, the worst case being k = 1 with
+            # q near 2**22.
+            digits = (first[:group_order - start] @ jump).astype(np.int64)
+            digits %= q
             jump = jump @ step % q
         exp[start:start + size] = digits @ qpow
         trace[start:start + size] = digits @ t % q

@@ -250,6 +250,33 @@ def test_non_primitive_alpha_raises(monkeypatch, cold_fields):
         build_ext_field(2, 4)
 
 
+def test_non_primitive_alpha_raises_past_the_first_chunk(monkeypatch, cold_fields):
+    # x**3 has order (2**14 - 1)/3 = 43 * 127 in GF(2^14), so its first
+    # repeat of 1 lies in a later chunk of powers, not in the first
+    assert 43 * 127 > field._CHUNK
+    monkeypatch.setattr(field, "_primitive_element", lambda modulus, x_powers, q: 8)
+    with pytest.raises(InvalidParameters, match="order below"):
+        build_ext_field(2, 14)
+
+
+def test_chunk_products_are_exact_in_float64_under_the_cap():
+    # Later chunks multiply digit rows by a k x k matrix in float64: each
+    # entry is a sum of k products of digits below q, so at most
+    # k * (q-1)**2, and it must stay below 2**53 for every field the cap lets in.
+    cap = field.DEFAULT_TABLE_CAP
+
+    def largest_q(k):  # floor(cap ** (1/k)), in integers
+        q = round(cap ** (1 / k))
+        while q**k > cap:
+            q -= 1
+        while (q + 1) ** k <= cap:
+            q += 1
+        return q
+
+    assert max(k * (largest_q(k) - 1) ** 2
+               for k in range(1, cap.bit_length())) < 1 << 53
+
+
 @pytest.mark.parametrize("modulus", [[1, 0, 0, 0, 1], [1, 1, 0, 1, 1]],
                          ids=["(x+1)^4", "(x+1)^2(x^2+x+1)"])
 def test_reducible_modulus_raises(monkeypatch, cold_fields, modulus):
@@ -264,12 +291,13 @@ def test_table_checks_hold_under_python_O():
         "from cycenum.errors import InvalidParameters, OrderMismatch",
         "tables, primitive = field._tables, field._primitive_element",
         "field._primitive_element = lambda modulus, x_powers, q: 8",
-        "build_ext_field.cache_clear()",
-        "try:",
-        "    build_ext_field(2, 4)",
-        "    raise SystemExit('a non-primitive alpha was accepted')",
-        "except InvalidParameters:",
-        "    pass",
+        "for q, k in [(2, 4), (2, 14)]:",
+        "    build_ext_field.cache_clear()",
+        "    try:",
+        "        build_ext_field(q, k)",
+        "        raise SystemExit(f'a non-primitive alpha was accepted in GF({q}^{k})')",
+        "    except InvalidParameters:",
+        "        pass",
         "field._primitive_element = primitive",
         "irreducible = field.poly.find_irreducible",
         "field.poly.find_irreducible = lambda q, k: [1, 0, 0, 0, 1]",
