@@ -43,18 +43,15 @@ __all__ = [
 def _min_poly(ctx: poly.ModMulContext, root: np.ndarray, m: int) -> list[int]:
     """Monic degree-m minimal polynomial of root (a vector mod ctx.modulus).
 
-    The columns of A hold 1, r, ..., r**m, one matvec with r's matrix
-    each; Gauss-Jordan elimination mod q solves sum c_i r**i = -r**m over
+    The columns of A hold 1, r, ..., r**m, from poly.powers over r's
+    matrix; Gauss-Jordan elimination mod q solves sum c_i r**i = -r**m over
     i < m. A missing pivot means a degree below m (the zero rows past k
     hold none when m > k); a nonzero entry under the pivots in the last
     column, one above m. Both raise OrderMismatch.
     """
     q, k = ctx.q, ctx.k
-    R = ctx.matrices(root)
     A = np.zeros((max(k, m), m + 1), dtype=np.int64)
-    A[0, 0] = 1
-    for i in range(m):
-        A[:k, i + 1] = A[:k, i] @ R % q
+    A[:k] = poly.powers(np.eye(1, k, dtype=np.int64)[0], ctx.matrices(root), m + 1, q).T
     for j in range(m):
         p = j + A[j:, j].argmax()  # entries lie in [0, q): a nonzero one if any
         if p != j:

@@ -28,7 +28,7 @@ import numpy as np
 
 from .codes import CodeSpec, irreducible_cyclic_code
 from .cosets import coset_count_formula, multiplicative_order
-from .errors import InvalidParameters, MembershipFailed, NonIntegralTheta
+from .errors import InvalidParameters, MembershipFailed, NonIntegralTheta, NotPrime
 from .field import _check_table_cap
 from .intmath import check_prime
 from .weights import WeightSpectrum, _exact_spectrum, _formula_inputs, _s_values, _tally
@@ -121,12 +121,15 @@ def icq_membership(q: int, k: int, N: int, epsilon: float) -> MembershipReport:
     clause is integer arithmetic on q, k and N, theta included, so no
     field is built; q must be prime once the n and order clauses pass.
     Errors are raised first for N <= 0, then for an epsilon that is not
-    positive and finite, then for q**k over the table cap.
+    positive and finite, then for q**k over the table cap, then for
+    q < 2, whose clauses would be meaningless (and q**k unbounded).
     """
     if N <= 0:
         raise InvalidParameters(f"N = alpha * k^s = {N} is not a positive integer")
     _check_epsilon(epsilon)
     _check_table_cap(q, k)
+    if q < 2:
+        raise NotPrime(f"{q} is not prime")
     failures: list[str] = []
     if not epsilon < 1:
         failures.append("EpsilonNotBelowOne")

@@ -4,16 +4,16 @@ A polynomial is a list of ints in [0, q), low degree first, with no
 trailing zeros; the zero polynomial is the empty list. All arithmetic is
 exact. ModMulContext is the one numpy-backed multiply modulo a fixed
 polynomial. It serves the table-free splitting fields that factor
-x**n - 1 and the matrices that build field tables, and its Frobenius
-Q-matrix takes each q-th power in Rabin's test as one matvec. Before
-building a context, is_irreducible rejects any candidate with a root
-among the first min(q, 32) elements of GF(q), so most reducible moduli
-in find_irreducible's scan cost a few Horner steps. The scan also skips
-the binomials x**k + c outright when k and q rule out every one of them,
+x**n - 1 and the matrices that build field tables. powers is the one
+walk v, v @ M, v @ M**2, ... mod q, a matvec a step: Rabin's test takes
+Berlekamp's Q-matrix and the chain x**(q**i) from it, and
+codes._min_poly its Krylov columns. Before building a context,
+is_irreducible rejects any candidate with a root among the first
+min(q, 32) elements of GF(q), so most reducible moduli in
+find_irreducible's scan cost a few Horner steps. The scan also skips the
+binomials x**k + c outright when k and q rule out every one of them,
 which large q would otherwise pay for with about q Rabin tests.
 """
-
-from functools import cached_property
 
 import numpy as np
 
@@ -122,7 +122,7 @@ class ModMulContext:
     def __init__(self, modulus: list[int], q: int):
         if not modulus or modulus[-1] != 1:
             raise InvalidParameters("modulus must be monic")
-        # mul, matrices and the Frobenius matvec sum k int64 products below q**2
+        # mul, matrices and the matvecs of powers sum k int64 products below q**2
         if (len(modulus) - 1) * (q - 1) ** 2 + (q - 1) >= 2**63:
             raise InvalidParameters(f"q = {q} overflows int64 products at degree "
                                     f"{len(modulus) - 1}")
@@ -180,26 +180,17 @@ class ModMulContext:
             e >>= 1
         return result
 
-    @cached_property
-    def frobenius(self) -> np.ndarray:
-        """Berlekamp's Q-matrix: row j is x**(q*j) mod m, so v @ Q % q is v**q
-        (the q-th power is GF(q)-linear). Row j is row j - 1 times x**q."""
-        q, k = self.q, self.k
-        Q = np.zeros((k, k), dtype=np.int64)
-        Q[0, 0] = 1
-        if k > 1:
-            step = self.matrices(self.pow(np.eye(1, k, 1, dtype=np.int64)[0], q))
-            for j in range(1, k):
-                Q[j] = Q[j - 1] @ step % q
-        return Q
 
-    def frobenius_orbit(self, a: np.ndarray, size: int) -> list[np.ndarray]:
-        """The first size terms of a, a**q, a**(q**2), ..., one matvec each."""
-        Q, q = self.frobenius, self.q
-        orbit = [np.asarray(a, dtype=np.int64)]
-        for _ in range(size - 1):
-            orbit.append(orbit[-1] @ Q % q)
-        return orbit
+def powers(v: np.ndarray, M: np.ndarray, count: int, q: int) -> np.ndarray:
+    """The count x k int64 array whose row i is v @ M**i mod q, for a
+    length-k vector v and a k x k matrix M with entries in [0, q): one
+    matvec per row, each from the row before it."""
+    out = np.zeros((count, len(M)), dtype=np.int64)
+    if count:
+        out[0] = v
+    for i in range(1, count):
+        out[i] = out[i - 1] @ M % q
+    return out
 
 
 def is_irreducible(p: list[int], q: int) -> bool:
@@ -224,8 +215,12 @@ def is_irreducible(p: list[int], q: int) -> bool:
             return False  # divisible by x - a
     inv = pow(p[-1], -1, q)
     monic = [(c * inv) % q for c in p]
-    x = np.eye(1, k, 1, dtype=np.int64)[0]
-    chain = ModMulContext(monic, q).frobenius_orbit(x, k + 1)  # x^(q^i), i = 0..k
+    ctx = ModMulContext(monic, q)
+    one, x = np.eye(2, k, dtype=np.int64)
+    # Berlekamp's Q: row j is x^(q*j), so v @ Q is v^q (the q-th power is
+    # GF(q)-linear) and the chain's row i is x^(q^i), i = 0..k
+    Q = powers(one, ctx.matrices(ctx.pow(x, q)), k, q)
+    chain = powers(x, Q, k + 1, q)
     # x^(q^k) == x mod p, and gcd(x^(q^(k/r)) - x, p) == 1 for each prime r | k
     return np.array_equal(chain[k], x) and all(
         degree(poly_gcd(trim(((chain[k // r] - x) % q).tolist()), monic, q)) == 0

@@ -346,6 +346,21 @@ def test_membership_refuses_a_prime_power_q(capsys, argv):
     assert err == f"NotPrime: {argv[1]} is not prime\n"
 
 
+@pytest.mark.parametrize("argv", [["icq-check", "-2", "30000000", "3", "--epsilon", "0.1"],
+                                  ["pipeline", "-2", "30000000", "3", "--epsilon", "0.1",
+                                   "--seed", "1"],
+                                  ["icq-check", "1", "5", "3", "--epsilon", "0.1"],
+                                  ["icq-check", "0", "5", "2", "--epsilon", "0.1", "--json"],
+                                  ["icq-check", "-3", "2", "4", "--epsilon", "0.1"]])
+def test_membership_refuses_q_below_2(argv):
+    # refused as theta and code refuse it: the table cap skips q <= 1, so
+    # nothing else bounds q**k and the order clause (k = 10**10 would form
+    # a 1.25 GB power), and q = 0 or -3 must not get a clause report
+    run = _run_module(*argv, timeout=10)
+    assert (run.returncode, run.stdout) == (1, "")
+    assert run.stderr == f"NotPrime: {argv[1]} is not prime\n"
+
+
 def test_weights_with_four_million_cosets_mod_N():
     # the [1,1] code over GF(4194301), N = q - 1: d = 1, so the formula
     # reads one coset mod d instead of sieving 4194300 cosets mod N

@@ -20,6 +20,7 @@ from cycenum.errors import (
     InvalidParameters,
     MembershipFailed,
     NonIntegralTheta,
+    NotPrime,
     TableCapExceeded,
 )
 from cycenum import pipeline
@@ -109,6 +110,19 @@ def test_icq_params_validation():
         icq_membership(q=2, k=30, N=7, epsilon=0.1)
     p = icq_membership(q=2, k=2, N=3 * 2**2, epsilon=0.1)  # N = alpha * k^s, alpha 3, s 2
     assert (p.q, p.k, p.N, p.epsilon) == (2, 2, 12, 0.1)
+
+
+@pytest.mark.parametrize("q", [1, 0, -2, -3])
+def test_membership_refuses_q_below_2(q):
+    # the cap check skips q <= 1, so (-2)**(3 * 10**7) and its order
+    # (past 15 s) would come next; q < 2 is refused right after the cap
+    for k, N in ((3 * 10**7, 3), (5, 3), (2, 4)):
+        with pytest.raises(NotPrime, match=f"^{q} is not prime$"):
+            icq_membership(q, k, N, 0.1)
+        with pytest.raises(NotPrime, match=f"^{q} is not prime$"):
+            run_pipeline_trials(q, k, N, 0.1, [1])
+    # a composite q >= 2 is still reported when the n or order clause fails
+    assert icq_membership(4, 3, 5, 0.1).failures == ["IntegralityFailed"]
 
 
 def test_membership_builds_no_field(monkeypatch):

@@ -175,12 +175,31 @@ def test_irreducible_count_matches_gauss_formula(q, max_d):
 
 @pytest.mark.parametrize("q,k", [(2, 2), (2, 12), (3, 7), (5, 4), (2, 48), (13, 3)])
 def test_frobenius_matrix_is_qth_power(q, k):
+    # Berlekamp's Q as is_irreducible builds it: row j is x**(q*j)
     ctx = poly.ModMulContext(poly.find_irreducible(q, k), q)
+    one, x = np.eye(2, k, dtype=np.int64)
+    Q = poly.powers(one, ctx.matrices(ctx.pow(x, q)), k, q)
+    assert Q.shape == (k, k) and Q.dtype == np.int64
     rng = np.random.default_rng(q * 100 + k)
     for v in rng.integers(0, q, size=(20, k)):
-        assert np.array_equal(v @ ctx.frobenius % q, ctx.pow(v, q))
-        orbit = ctx.frobenius_orbit(v, 3)
+        assert np.array_equal(v @ Q % q, ctx.pow(v, q))
+        orbit = poly.powers(v, Q, 3, q)
+        assert np.array_equal(orbit[0], v)
         assert np.array_equal(orbit[2], ctx.pow(v, q * q))
+
+
+@pytest.mark.parametrize("q,k", [(2, 1), (13, 1), (5, 4)])
+def test_powers_edge_counts(q, k):
+    ctx = poly.ModMulContext(poly.find_irreducible(q, k), q)
+    M = ctx.matrices((np.arange(k) + 2) % q)
+    v = np.arange(k) % q + 1
+    assert poly.powers(v, M, 0, q).shape == (0, k)
+    assert np.array_equal(poly.powers(v, M, 1, q), v[None, :])
+    # at k = 1, M is a constant c and row i is v * c**i
+    walk = poly.powers(v, M, 5, q)
+    assert walk.shape == (5, k)
+    for i, row in enumerate(walk):
+        assert np.array_equal(row, v @ np.linalg.matrix_power(M, i) % q)
 
 
 @pytest.mark.parametrize("q,k", [(2, 1), (13, 1), (2, 12), (3, 7), (2, 48)])
