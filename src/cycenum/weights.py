@@ -13,12 +13,13 @@ the word of alpha**r and of its n cyclic shifts, so the whole spectrum
 costs O(q**k).
 
 The MacWilliams transform is exact integer arithmetic on one of two
-paths, chosen from the input. With m distinct weights and 4m <= n it runs
+paths, chosen from the input. With m distinct weights and 8m <= n it runs
 the Krawtchouk three-term recurrence, O(n) big-by-small steps per weight;
-denser input takes two Horner Taylor shifts, O(n**2) whatever the input.
-The rule is the measured crossover: with counts of n*log2(q) bits,
-q in {2, 3, 5, 13} and 366 <= n <= 1023, the recurrence took 0.9-1.1x
-the time of the shifts at m = n/4 and 1.2-1.6x at m = n/3.
+denser input takes two Taylor shifts made of shifts by one, O(n**2)
+big-integer additions whatever the input. The rule is the measured
+crossover: with counts of n*log2(q) bits, q in {2, 3, 5, 13} and
+366 <= n <= 1023, the recurrence took 1.7-2.6x the time of the shifts at
+m = n/4, 0.86-1.3x at m = n/8 and 0.58-0.88x at m = n/12.
 """
 
 import math
@@ -209,14 +210,22 @@ def _dual_krawtchouk(counts: dict[int, int], n: int, q: int) -> list[int]:
     return out
 
 
-def _taylor_shift(a: list[int], c: int) -> None:
-    """In place a(x) -> a(x + c), coefficients low degree first (Horner)."""
+def _shift_by(a: np.ndarray, c: int) -> np.ndarray:
+    """a(x + c) for an object array a of coefficients, low degree first.
+
+    Scales x^d by c^d, shifts by one, then divides x^j by c^j, exactly.
+    Pass i of the shift by one adds to each of the top i coefficients its
+    upper neighbour (Pascal's triangle). NumPy evaluates an in-place ufunc
+    on overlapping slices as if its input were copied, so each pass reads
+    the previous pass's values, and the n**2/2 big-integer additions run
+    in C loops.
+    """
     n = len(a) - 1
-    for i in range(n):
-        acc = a[n]
-        for j in range(n - 1, i - 1, -1):
-            acc = a[j] + c * acc
-            a[j] = acc
+    cpow = np.array([c**d for d in range(n + 1)], dtype=object)
+    v = a * cpow
+    for i in range(1, n + 1):
+        v[n - i:n] += v[n - i + 1:n + 1]
+    return v // cpow
 
 
 def _dual_dense(counts: dict[int, int], n: int, q: int) -> list[int]:
@@ -225,13 +234,12 @@ def _dual_dense(counts: dict[int, int], n: int, q: int) -> list[int]:
     (x, y) -> (x+(q-1)y, x-y) factors as x -> x+(1-q)y, then
     (x, y) -> (qx, -y), then y -> y-x. The first is a Taylor shift by
     1-q of A(x, 1), the last a Taylor shift by -1 of A(1, y), so the
-    transform is O(n^2) no matter how dense the input spectrum is.
+    transform is O(n^2) additions no matter how dense the input is.
     """
-    a = [counts.get(n - d, 0) for d in range(n + 1)]  # by x-degree
-    _taylor_shift(a, 1 - q)
-    c = [a[n - t] * q ** (n - t) * (-1) ** t for t in range(n + 1)]
-    _taylor_shift(c, -1)
-    return c
+    a = np.array([counts.get(n - d, 0) for d in range(n + 1)], dtype=object)  # by x-degree
+    a = _shift_by(a, 1 - q)
+    c = a[::-1] * np.array([q ** (n - t) * (-1) ** t for t in range(n + 1)], dtype=object)
+    return _shift_by(c, -1).tolist()
 
 
 def macwilliams_dual(w: WeightEnumerator, q: int, k: int, n: int) -> WeightEnumerator:
@@ -240,10 +248,13 @@ def macwilliams_dual(w: WeightEnumerator, q: int, k: int, n: int) -> WeightEnume
     This is the standard identity over GF(q); applying it twice returns
     the original enumerator. All dual coefficients must come out as
     non-negative integers summing to q^(n-k); anything else raises
-    NonIntegerDualCoefficient, as does an input weight or count that is
-    not an int (float arithmetic is inexact past 2**53), a weight outside
-    [0, n] or a negative count.
+    NonIntegerDualCoefficient, as does a q, k or n that is not an int, a
+    q below 2 or k outside [0, n], an input weight or count that is not an
+    int (float arithmetic is inexact past 2**53), a weight outside [0, n],
+    a negative count, or counts that do not sum to q^k.
     """
+    if not (all(isinstance(v, int) for v in (q, k, n)) and q >= 2 and 0 <= k <= n):
+        raise NonIntegerDualCoefficient(f"q = {q!r}, k = {k!r}, n = {n!r}: no q-ary [n, k] code")
     if w.n != n:
         raise NonIntegerDualCoefficient(f"enumerator length {w.n} != n = {n}")
     counts = w.spectrum.counts
@@ -251,11 +262,13 @@ def macwilliams_dual(w: WeightEnumerator, q: int, k: int, n: int) -> WeightEnume
         if not (isinstance(i, int) and isinstance(a_i, int) and 0 <= i <= n and a_i >= 0):
             raise NonIntegerDualCoefficient(
                 f"A_{i} = {a_i} is not a count of a weight in [0, {n}]")
-    if 4 * len(counts) <= n:
+    scale = q**k
+    if w.spectrum.total() != scale:
+        raise NonIntegerDualCoefficient(f"counts sum to {w.spectrum.total()}, not q^k = {scale}")
+    if 8 * len(counts) <= n:
         acc = _dual_krawtchouk(counts, n, q)
     else:
         acc = _dual_dense(counts, n, q)
-    scale = q**k
     dual_counts: dict[int, int] = {}
     total = 0
     for weight in range(n + 1):

@@ -110,6 +110,20 @@ def dual_by_expansion(counts, n, q):
     return acc
 
 
+def taylor_shift(a, c):
+    """a(x + c) by Horner's rule, coefficients low degree first: pass i
+    divides by x - c synthetically and leaves coefficient i, n**2/2
+    multiply-adds in all."""
+    a = list(a)
+    n = len(a) - 1
+    for i in range(n):
+        acc = a[n]
+        for j in range(n - 1, i - 1, -1):
+            acc = a[j] + c * acc
+            a[j] = acc
+    return a
+
+
 def orbit_product_reference(F, exponents):
     """Coefficients of the product of (X - alpha**e) over the exponents,
     on packed elements by table-free arithmetic mod F.modulus;

@@ -1,7 +1,10 @@
 import json
 import math
+import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cycenum import (
     WeightEnumerator,
@@ -15,9 +18,9 @@ from cycenum import (
     weight_spectrum_mceliece,
 )
 from cycenum.errors import NonIntegerDualCoefficient, NonIntegerWeight, NonRealResult
-from cycenum.weights import _dual_dense, _dual_krawtchouk
+from cycenum.weights import _dual_dense, _dual_krawtchouk, _shift_by
 from gf_utils import (dual_by_expansion, enumerate_span, gf_nullspace, spectrum_from_words,
-                      trace_words)
+                      taylor_shift, trace_words)
 
 
 def spectrum_by_scalar_enumeration(spec):
@@ -197,6 +200,27 @@ def test_krawtchouk_and_horner_paths_agree():
             assert _dual_dense(counts, n, q) == expected, (q, k, N)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(min_value=-(2**300), max_value=2**300), min_size=1, max_size=41),
+       st.sampled_from([-1, -2, -4, -6, -12]))
+def test_shift_matches_horner(coeffs, c):
+    # c = 1 - q for q in {2, 3, 5, 7, 13}; degrees 0 to 40
+    assert _shift_by(np.array(coeffs, dtype=object), c).tolist() == taylor_shift(coeffs, c)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 13])
+@pytest.mark.parametrize("n", [64, 95])
+def test_paths_agree_on_either_side_of_the_rule(q, n):
+    # macwilliams_dual takes the recurrence when 8m <= n, the shifts above
+    rng = random.Random(q * 1000 + n)
+    for m in (n // 8, n // 8 + 1):
+        weights = rng.sample(range(n + 1), m)
+        counts = {w: rng.getrandbits(int(n * math.log2(q))) for w in weights}
+        expected = dual_by_expansion(counts, n, q)
+        assert _dual_krawtchouk(counts, n, q) == expected, m
+        assert _dual_dense(counts, n, q) == expected, m
+
+
 def test_dual_rejects_garbage():
     junk = WeightEnumerator(WeightSpectrum({0: 1, 3: 7}, 15))
     with pytest.raises(NonIntegerDualCoefficient):
@@ -211,3 +235,11 @@ def test_dual_rejects_garbage():
                       ({0: 1.0, 7: 8.0, 8: 7.0}, 4), ({0: 1, 7.0: 8, 8: 7}, 4)):
         with pytest.raises(NonIntegerDualCoefficient):
             macwilliams_dual(WeightEnumerator(WeightSpectrum(counts, 15)), 2, k, 15)
+    # q, k and n must be ints with q >= 2 and 0 <= k <= n, and the counts
+    # must sum to q^k (k = True, read as 1, would give a "dual" 8x too large)
+    simplex = WeightEnumerator(WeightSpectrum({0: 1, 8: 15}, 15))
+    for q, k, n in ((2, -1, 15), (2, 4.0, 15), (2.0, 4, 15), (0, 4, 15), (1, 4, 15),
+                    (2, True, 15), (2, 16, 15), (2, 4, 15.0), (2, 3, 15), (3, 4, 15)):
+        with pytest.raises(NonIntegerDualCoefficient):
+            macwilliams_dual(simplex, q, k, n)
+    assert macwilliams_dual(simplex, 2, 4, 15).spectrum.total() == 2**11
