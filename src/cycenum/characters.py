@@ -35,7 +35,7 @@ __all__ = [
 _TWO_PI = 2.0 * math.pi
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GaussSumValue:
     """A Gauss sum as complex value plus polar pieces (gamma in (-pi, pi])."""
 

@@ -1,14 +1,17 @@
 """Command-line interface: one binary, one subcommand per computation.
 
 Each handler returns its output, a JSON payload and the lines of text,
-and main prints one of them. Exit codes: 0 on success, 1 on a domain
-error (the error class name goes to stderr), 2 on a usage error. Every
-subcommand accepts --json; JSON documents carry "schema": 1 and are
-emitted with sorted keys so repeated runs are byte-identical.
+and main prints one of them. The lines of any output that grows with the
+input are a lazy iterable, so a --json run formats none of them. Exit
+codes: 0 on success, 1 on a domain error (the error class name goes to
+stderr), 2 on a usage error. Every subcommand accepts --json; JSON
+documents carry "schema": 1 and are emitted with sorted keys so repeated
+runs are byte-identical.
 """
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import os
@@ -58,7 +61,7 @@ def _emit(args, payload: dict, text_lines) -> None:
             print(line)
 
 
-def _poly_str(coeffs: list[int]) -> str:
+def _poly_str(coeffs: Iterable[int]) -> str:
     return "[" + ", ".join(str(c) for c in coeffs) + "]"
 
 
@@ -73,10 +76,9 @@ def cmd_cosets(args) -> tuple[dict, Iterable[str]]:
         part = coset_leaders(args.N, args.p)
     else:
         part = cosets_full(args.N, args.p)
-    payload = part.to_dict()
-    lines = ["{" + ",".join(str(m) for m in c.members) + "}" for c in part.cosets] \
-        if part.cosets and part.cosets[0].members is not None else []
-    return payload, lines
+    # text output always has the members: only --json skips them
+    return part.to_dict(), ("{" + ",".join(str(m) for m in c.members) + "}"
+                            for c in part.cosets)
 
 
 def cmd_factor(args) -> tuple[dict, Iterable[str]]:
@@ -105,16 +107,16 @@ def cmd_factor(args) -> tuple[dict, Iterable[str]]:
 def cmd_code(args) -> tuple[dict, Iterable[str]]:
     spec = irreducible_cyclic_code(args.q, args.k, args.N)
     payload = spec.to_dict()
-    lines = [
-        f"[{spec.n},{spec.k}] irreducible cyclic code over GF({spec.q}), N={spec.N}",
-        f"modulus   {_poly_str(list(spec.field.modulus))}",
-        f"generator {_poly_str(spec.generator)}",
-        f"check     {_poly_str(spec.check)}",
-    ]
+    polys = (("modulus", spec.field.modulus), ("generator", spec.generator),
+             ("check", spec.check))
+    lines = itertools.chain(
+        [f"[{spec.n},{spec.k}] irreducible cyclic code over GF({spec.q}), N={spec.N}"],
+        (f"{name:<9} {_poly_str(c)}" for name, c in polys))
     if args.matrix:
         rows = generator_matrix(spec)
         payload["matrix"] = rows
-        lines += ["matrix:"] + ["  " + " ".join(str(v) for v in row) for row in rows]
+        lines = itertools.chain(lines, ["matrix:"],
+                                ("  " + " ".join(str(v) for v in row) for row in rows))
     return payload, lines
 
 
@@ -153,9 +155,9 @@ def cmd_weights(args) -> tuple[dict, Iterable[str]]:
         "spectrum": spectrum.to_dict(),
         "enumerator_check": {"A11": WeightEnumerator(spectrum).evaluate(1, 1)},
     }
-    lines = [f"[{spec.n},{spec.k}] code over GF({spec.q}), method={args.method}"] + [
-        f"A_{w} = {spectrum.counts[w]}" for w in sorted(spectrum.counts)
-    ]
+    lines = itertools.chain(
+        [f"[{spec.n},{spec.k}] code over GF({spec.q}), method={args.method}"],
+        (f"A_{w} = {spectrum.counts[w]}" for w in sorted(spectrum.counts)))
     return payload, lines
 
 
@@ -175,9 +177,9 @@ def cmd_dual(args) -> tuple[dict, Iterable[str]]:
         "dual_spectrum": dual.spectrum.to_dict(),
         "dual_check": {"A11": dual.evaluate(1, 1)},
     }
-    lines = [f"dual of the [{spec.n},{spec.k}] code over GF({spec.q})"] + [
-        f"A'_{w} = {dual.spectrum.counts[w]}" for w in sorted(dual.spectrum.counts)
-    ]
+    lines = itertools.chain(
+        [f"dual of the [{spec.n},{spec.k}] code over GF({spec.q})"],
+        (f"A'_{w} = {dual.spectrum.counts[w]}" for w in sorted(dual.spectrum.counts)))
     return payload, lines
 
 
@@ -236,9 +238,9 @@ def cmd_pipeline(args) -> tuple[dict, Iterable[str]]:
             "exact_count": exact_count,
             "trial_results": [{"seed": r.seed, "exact": r.exact} for r in reports],
         }
-        lines = [f"seed {r.seed}: {'exact' if r.exact else 'DEVIATED'}"
-                 for r in reports]
-        lines.append(f"exact in {exact_count}/{args.trials} trials")
+        lines = itertools.chain(
+            (f"seed {r.seed}: {'exact' if r.exact else 'DEVIATED'}" for r in reports),
+            [f"exact in {exact_count}/{args.trials} trials"])
         return payload, lines
     report = reports[0]
     spectrum = report.recovered_spectrum

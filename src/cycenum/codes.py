@@ -164,7 +164,7 @@ def factor_xn_minus_1(n: int, q: int) -> list[list[int]]:
 # irreducible cyclic codes
 
 
-@dataclass
+@dataclass(slots=True)
 class CodeSpec:
     """An irreducible cyclic [n, k] code over GF(q) with n*N = q**k - 1."""
 

@@ -24,7 +24,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Coset:
     """One coset: smallest member, member count, optional orbit-order members."""
 
@@ -39,7 +39,7 @@ class Coset:
         return d
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CosetPartition:
     """All p-cyclotomic cosets of {0, ..., N-1}, ordered by leader."""
 

@@ -6,8 +6,9 @@ Zero is 0 and the multiplicative identity is 1. A field is its tables,
 read through a verified primitive element alpha: the packed value of
 each power of alpha and its trace. A discrete log searches the exp table.
 
-The exp and trace tables are int64 numpy arrays, built in one pass
-with no per-element Python loop. Multiplication by a fixed element is a
+The exp table is an int64 numpy array and the trace table one of the
+narrowest unsigned dtype that holds q - 1, both built in one pass with no
+per-element Python loop. Multiplication by a fixed element is a
 GF(q)-linear map, a k x k matrix acting on coefficient vectors;
 poly.ModMulContext.matrices gives these matrices, reduced by the same
 table of x**(k+j) mod the modulus that its multiply uses. So:
@@ -52,7 +53,8 @@ class ExtField:
     """GF(q**k) built from a monic irreducible modulus, with its tables.
 
     exp_table[i] is the packed value of alpha**i and trace_table()[i] is
-    Tr(alpha**i), for i in [0, q**k - 2]. Both are int64 arrays, built in
+    Tr(alpha**i), for i in [0, q**k - 2]: exp_table is int64 and the trace
+    table np.min_scalar_type(q - 1), so uint8 for q <= 256. Both are built in
     one pass by _tables, which checks the order of alpha and the balance
     of the trace. Constructed through build_ext_field. check, alpha_pow
     and dlog return Python ints.
@@ -91,7 +93,9 @@ class ExtField:
         return int((self.exp_table == a).argmax())
 
     def trace_table(self) -> np.ndarray:
-        """Tr(alpha**m) for m in [0, q**k - 2] as an int64 array."""
+        """Tr(alpha**m) for m in [0, q**k - 2], in the narrowest unsigned
+        dtype that holds q - 1: mix it only with arrays, or with Python ints
+        after a cast, as unsigned arithmetic wraps."""
         return self._trace
 
     def to_dict(self) -> dict:
@@ -146,8 +150,8 @@ def _primitive_element(modulus: list[int], ctx: poly.ModMulContext, q: int) -> i
 
 def _tables(mul: np.ndarray, t: np.ndarray, q: int,
             k: int) -> tuple[np.ndarray, np.ndarray]:
-    """exp and trace tables of the alpha that mul multiplies by, as int64
-    arrays, given t_j = Tr(x**j).
+    """exp and trace tables of the alpha that mul multiplies by, given
+    t_j = Tr(x**j): exp as int64, the trace as np.min_scalar_type(q - 1).
 
     Doubling in digit space fills the first chunk of powers in place:
     rows [B, 2B) of the digit table are rows [0, B) times the matrix of
@@ -181,7 +185,7 @@ def _tables(mul: np.ndarray, t: np.ndarray, q: int,
     # step is now the matrix of alpha**size.
     digits = first
     exp = np.empty(group_order, dtype=np.int64)
-    trace = np.empty(group_order, dtype=np.int64)
+    trace = np.empty(group_order, dtype=np.min_scalar_type(q - 1))
     jump = step
     for start in range(0, group_order, size):
         if start:

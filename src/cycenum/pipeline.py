@@ -12,11 +12,11 @@ cycenum.weights, evaluated at every coset leader of every trial in a
 block at once (one stacked matrix-vector product per trial), and each
 noisy value is rounded to the nearest multiple of q**(theta-1), the
 divisibility step of every weight. The reference spectrum comes from
-the same routine at the exact phases; a trial whose rounded weights all
-equal the exact ones gets a copy of its counts, and any other trial is
-tallied on its own. Whenever epsilon stays below
-q**(theta-1) / (4*sqrt(q**k)) the rounded spectrum provably matches the
-noiseless one; the pipeline reports whether it did.
+the same routine at the exact phases; every trial whose rounded weights
+all equal the exact ones shares that one WeightSpectrum object, and any
+other trial is tallied into a spectrum of its own. Whenever epsilon stays
+below q**(theta-1) / (4*sqrt(q**k)) the rounded spectrum provably matches
+the noiseless one; the pipeline reports whether it did.
 """
 
 import math
@@ -92,7 +92,7 @@ def _check_epsilon(epsilon: float) -> None:
                                 "at most half the largest float")
 
 
-@dataclass
+@dataclass(slots=True)
 class MembershipReport:
     """Clause-by-clause result of the class-membership check."""
 
@@ -171,7 +171,7 @@ def noisy_gauss_oracle(true_gamma: float, epsilon: float, seed: int) -> float:
     return true_gamma + random.Random(seed).uniform(-epsilon, epsilon)
 
 
-@dataclass
+@dataclass(slots=True)
 class PipelineReport:
     """Everything one noisy recovery run produced."""
 
@@ -203,7 +203,10 @@ def run_pipeline_trials(q: int, k: int, N: int, epsilon: float, seeds,
     computed only once. Each run perturbs the exact phases, evaluates the
     weight formula per leader, rounds to multiples of q**(theta-1),
     tallies, and compares to the noiseless spectrum; report.exact says
-    whether they matched.
+    whether they matched. Exact reports share one recovered_spectrum
+    object, the noiseless spectrum itself: every trial whose rounded
+    weights are the exact ones gets it, and any other trial a spectrum of
+    its own.
 
     Raises MembershipFailed when the epsilon/parameter check fails and
     force is not set. Forced past a failed n, order or theta clause, it
@@ -250,7 +253,7 @@ def run_pipeline_trials(q: int, k: int, N: int, epsilon: float, seeds,
         for seed, errors, row, same in zip(block, (noisy - gammas).tolist(),
                                            rounded, as_reference.tolist()):
             if same:
-                recovered = WeightSpectrum(dict(reference.counts), spec.n)
+                recovered = reference
             else:
                 recovered = _tally(spec, [int(w) * divisor for w in row], part)
             reports.append(PipelineReport(

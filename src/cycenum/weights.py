@@ -50,7 +50,7 @@ WEIGHT_INT_TOL = 1e-6
 IMAG_TOL = 1e-6
 
 
-@dataclass
+@dataclass(slots=True)
 class WeightSpectrum:
     """Counts A_i of words of Hamming weight i in a length-n code."""
 
@@ -64,7 +64,7 @@ class WeightSpectrum:
         return {str(w): self.counts[w] for w in sorted(self.counts)}
 
 
-@dataclass
+@dataclass(slots=True)
 class WeightEnumerator:
     """The bivariate polynomial A(x, y) = sum A_i x^(n-i) y^i of a spectrum."""
 
@@ -198,15 +198,16 @@ def _dual_krawtchouk(counts: dict[int, int], n: int, q: int) -> list[int]:
     big-by-small steps per distinct weight, so spectra with few weights
     (the irreducible-cyclic case, at most N+1) stay cheap for long codes.
     """
-    weights = list(counts)
-    prev = [0] * len(weights)
-    cur = [counts[i] for i in weights]
-    out = [sum(cur)]
-    for j in range(n):
-        a, b = (q - 1) * (n - j) + j, (q - 1) * (n - j + 1)
-        prev, cur = cur, [((a - q * i) * t - b * s) // (j + 1)
-                          for i, t, s in zip(weights, cur, prev)]
-        out.append(sum(cur))
+    # the weight-free parts of the recurrence's coefficients, per step j
+    steps = [((q - 1) * (n - j) + j, (q - 1) * (n - j + 1), j + 1) for j in range(n)]
+    out = [0] * (n + 1)
+    for i, a_i in counts.items():
+        qi = q * i
+        prev, cur = 0, a_i
+        out[0] += cur
+        for j, (a, b, div) in enumerate(steps, 1):
+            prev, cur = cur, ((a - qi) * cur - b * prev) // div
+            out[j] += cur
     return out
 
 
@@ -273,10 +274,10 @@ def macwilliams_dual(w: WeightEnumerator, q: int, k: int, n: int) -> WeightEnume
     total = 0
     for weight in range(n + 1):
         coeff = acc[weight]
-        if coeff % scale != 0:
+        val, rem = divmod(coeff, scale)
+        if rem:
             raise NonIntegerDualCoefficient(
                 f"dual coefficient A_{weight} = {coeff}/{scale} is not integral")
-        val = coeff // scale
         if val < 0:
             raise NonIntegerDualCoefficient(f"dual coefficient A_{weight} = {val} < 0")
         if val:

@@ -415,6 +415,34 @@ def test_handlers_return_their_output(capsys, argv):
             assert out == "".join(line + "\n" for line in lines)
 
 
+class _Unformattable(int):
+    """A count that fails the run if a text line formats it."""
+
+    def __format__(self, spec):
+        raise AssertionError("a text line was formatted")
+
+
+@pytest.mark.parametrize("argv,name,spectrum_of", [
+    (["dual", "2", "12", "13"], "macwilliams_dual", lambda dual: dual.spectrum),
+    (["weights", "2", "12", "13"], "weight_spectrum_mceliece", lambda spectrum: spectrum),
+], ids=["dual", "weights"])
+def test_json_runs_format_no_text_lines(capsys, monkeypatch, argv, name, spectrum_of):
+    want = run_cli(capsys, *argv, "--json")
+    real = getattr(cli, name)
+
+    def unformattable(*args):
+        result = real(*args)
+        counts = spectrum_of(result).counts
+        for w in counts:
+            counts[w] = _Unformattable(counts[w])
+        return result
+
+    monkeypatch.setattr(cli, name, unformattable)
+    assert run_cli(capsys, *argv, "--json") == want
+    with pytest.raises(AssertionError, match="formatted"):
+        run_cli(capsys, *argv)
+
+
 def test_pipeline_membership_failure_exit_code(capsys):
     code, out, err = run_cli(capsys, "pipeline", "2", "4", "3",
                              "--epsilon", "0.3", "--seed", "0")

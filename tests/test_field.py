@@ -202,16 +202,19 @@ def test_tables_match_per_element_reference(cold_fields, q, k):
     F = build_ext_field(q, k)
     modulus, alpha, exp_table, log_table, trace_table = reference_field(q, k)
     assert _tables_of(F) == (modulus, alpha, exp_table, trace_table)
+    assert F.trace_table().dtype == np.min_scalar_type(q - 1)
     if F.order <= 1 << 8:
         assert [F.dlog(a) for a in range(1, F.order)] == log_table[1:]
 
 
 @pytest.mark.parametrize("q,k", [(2, 1), (2, 12), (3, 7), (65521, 1)])
 def test_field_holds_exp_and_trace_only(q, k):
-    # 8 bytes per nonzero element in each of the two int64 tables
+    # per nonzero element, 8 bytes of int64 exp table and the itemsize of
+    # the narrowest unsigned dtype holding q - 1 in the trace table
     F = build_ext_field(q, k)
     arrays = [v for v in vars(F).values() if isinstance(v, np.ndarray)]
-    assert sum(a.nbytes for a in arrays) == 16 * (q**k - 1)
+    itemsize = np.min_scalar_type(q - 1).itemsize
+    assert sum(a.nbytes for a in arrays) == (8 + itemsize) * (q**k - 1)
 
 
 def test_cache_key_ignores_call_spelling(cold_fields):

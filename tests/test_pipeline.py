@@ -15,6 +15,7 @@ from cycenum import (
     order_d_character_sums,
     run_pipeline_trials,
     theta,
+    weight_spectrum_mceliece,
 )
 from cycenum.errors import (
     InvalidParameters,
@@ -281,6 +282,33 @@ def test_report_keys():
         "num_cosets", "oracle_calls", "injected_errors", "recovered_spectrum",
         "exact"}
     assert report.to_dict()["recovered_spectrum"] == report.recovered_spectrum.to_dict()
+
+
+def test_exact_trials_share_one_spectrum():
+    # every trial whose weights all round to the exact ones holds the one
+    # noiseless spectrum; a deviated trial's spectrum is its own
+    spec = irreducible_cyclic_code(2, 6, 7)
+    reports = run_pipeline_trials(2, 6, 7, epsilon_bound(spec), range(20), force=True)
+    assert all(r.exact for r in reports)
+    shared = reports[0].recovered_spectrum
+    assert all(r.recovered_spectrum is shared for r in reports)
+    assert shared.counts == weight_spectrum_mceliece(spec).counts
+    forced = run_pipeline_trials(2, 6, 7, 2.5, range(-5, 25), force=True)
+    deviated = [r.recovered_spectrum for r in forced if not r.exact]
+    assert deviated and len({id(s) for s in deviated}) == len(deviated)
+    assert not {id(r.recovered_spectrum) for r in forced if r.exact} & {id(s) for s in deviated}
+
+
+def test_report_json_is_pinned():
+    # the float errors are left to the seed-scheme test: their last bits
+    # follow the exact phases, which come from numpy's exp
+    docs = [r.to_dict() for r in run_pipeline_trials(2, 4, 3, 0.125, [7, 8])]
+    assert [len(doc.pop("injected_errors")) for doc in docs] == [2, 2]
+    assert [json.dumps(doc, sort_keys=True) for doc in docs] == [
+        '{"N": 3, "d": 3, "epsilon": 0.125, "epsilon_bound": 0.125, "exact": true, '
+        '"k": 4, "n": 5, "num_cosets": 2, "oracle_calls": 2, "q": 2, '
+        f'"recovered_spectrum": {{"0": 1, "2": 10, "4": 5}}, "seed": {seed}, "theta": 2}}'
+        for seed in (7, 8)]
 
 
 SEEDS = [0, -3, 1, 41, 2**33 + 5]
