@@ -7,13 +7,13 @@ reduced mod q and costs nothing; otherwise the factors are found in a
 small splitting field GF(q**ord_q(f)) held in polynomial form, so
 no log tables (and no table cap) are involved.
 
-Every such factor, and every minimal polynomial and check polynomial
-over a table-backed field, comes from one routine, _min_poly: the unique
-monic relation of degree m, the coset size, among the powers of one root
-(Lidl & Niederreiter, Finite Fields, ch. 3), found by one Gauss-Jordan
-solve mod q. A splitting field powers an element of order f to each
-coset leader; the table fields give the digits of alpha**e. Both take the
-root's matrix from field._context(q, k), so same-size fields share it.
+Every such factor, and every check polynomial of a code, comes from one
+routine, _min_poly: the unique monic relation of degree m, the coset
+size, among the powers 1, r, ..., r**m of one root (Lidl & Niederreiter,
+Finite Fields, ch. 3), one poly.powers walk over the root's matrix and
+one Gauss-Jordan solve mod q. Its root is an element of order f raised
+to a coset leader, or a code's beta = alpha**(-N), whose generator reuses
+the walk's rows: no field table but the trace is read here.
 """
 
 from dataclasses import dataclass
@@ -40,8 +40,10 @@ __all__ = [
 # minimal polynomials and the factors of x**n - 1
 
 
-def _min_poly(ctx: poly.ModMulContext, root: np.ndarray, m: int) -> list[int]:
-    """Monic degree-m minimal polynomial of root (a vector mod ctx.modulus).
+def _min_poly(ctx: poly.ModMulContext, root: np.ndarray,
+              m: int) -> tuple[list[int], np.ndarray]:
+    """Monic degree-m minimal polynomial of root (a vector mod ctx.modulus),
+    and the (m + 1) x k rows of root**0, ..., root**m it was solved over.
 
     The columns of A hold 1, r, ..., r**m, from poly.powers over r's
     matrix; Gauss-Jordan elimination mod q solves sum c_i r**i = -r**m over
@@ -50,8 +52,9 @@ def _min_poly(ctx: poly.ModMulContext, root: np.ndarray, m: int) -> list[int]:
     column, one above m. Both raise OrderMismatch.
     """
     q, k = ctx.q, ctx.k
+    powers = poly.powers(np.eye(1, k, dtype=np.int64)[0], ctx.matrices(root), m + 1, q)
     A = np.zeros((max(k, m), m + 1), dtype=np.int64)
-    A[:k] = poly.powers(np.eye(1, k, dtype=np.int64)[0], ctx.matrices(root), m + 1, q).T
+    A[:k] = powers.T
     for j in range(m):
         p = j + A[j:, j].argmax()  # entries lie in [0, q): a nonzero one if any
         if p != j:
@@ -65,7 +68,7 @@ def _min_poly(ctx: poly.ModMulContext, root: np.ndarray, m: int) -> list[int]:
         A %= q
     if A[m:, m].any():
         raise OrderMismatch(f"a root of degree above {m}")
-    return ((-A[:m, m]) % q).tolist() + [1]
+    return ((-A[:m, m]) % q).tolist() + [1], powers
 
 
 def _element_of_order(ctx: poly.ModMulContext, f: int) -> np.ndarray:
@@ -95,7 +98,7 @@ def _element_of_order(ctx: poly.ModMulContext, f: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _cyclotomic_mod(f: int, q: int) -> tuple[int, ...]:
     """Cyclotomic polynomial of order f reduced mod q (f coprime to q)."""
-    num = poly.x_pow_n_minus_1(f, q)
+    num = [q - 1] + [0] * (f - 1) + [1]  # x**f - 1
     for d in range(1, f):
         if f % d == 0:
             quot, rem = poly.poly_divmod(num, list(_cyclotomic_mod(d, q)), q)
@@ -120,11 +123,17 @@ def _factor_cyclotomic(f: int, q: int) -> dict[int, tuple[int, ...]]:
 
     ctx = field._context(q, k)  # GF(q**k) as GF(q)[z]/(h), no tables
     beta = _element_of_order(ctx, f)
-    factors = {c.leader: tuple(_min_poly(ctx, ctx.pow(beta, c.leader), c.size))
+    factors = {c.leader: tuple(_min_poly(ctx, ctx.pow(beta, c.leader), c.size)[0])
                for c in coset_leaders(f, q).cosets if gcd(c.leader, f) == 1}
     if len(factors) != phi // k:
         raise SpectrumMismatch(f"{len(factors)} factors of Phi_{f}, expected {phi // k}")
     return factors
+
+
+def _is_xn_minus_1(p: np.ndarray, n: int, q: int) -> bool:
+    """Whether p, reduced mod q in place, reads q - 1, n - 1 zeros, 1."""
+    p %= q
+    return len(p) == n + 1 and p[0] == q - 1 and p[n] == 1 and not p[1:n].any()
 
 
 def factor_xn_minus_1(n: int, q: int) -> list[list[int]]:
@@ -147,12 +156,10 @@ def factor_xn_minus_1(n: int, q: int) -> list[list[int]]:
             raise SpectrumMismatch(f"factor of degree {len(factors[-1]) - 1} "
                                    f"for a coset of size {coset.size}")
 
-    # product check, mod-q convolution chain
-    acc = np.array([1], dtype=np.int64)
-    for fac in factors:
-        acc = np.convolve(acc, np.array(fac, dtype=np.int64)) % q
-    expect = np.array(poly.x_pow_n_minus_1(n, q), dtype=np.int64)
-    if not np.array_equal(acc, expect):
+    acc = np.ones(1, dtype=np.int64)
+    for fac in factors:  # the product, reduced mod q at every step
+        acc = np.convolve(acc, fac) % q
+    if not _is_xn_minus_1(acc, n, q):
         raise SpectrumMismatch(f"factor product != x^{n} - 1")
     count = coset_count_formula(n, q)
     if len(factors) != count:
@@ -191,8 +198,10 @@ class CodeSpec:
         return f"CodeSpec([{self.n},{self.k}] over GF({self.q}), N={self.N})"
 
 
-def _generator_trace_word(F: ExtField, h: list[int], N: int, n: int) -> list[int]:
-    """(x**n - 1)/h for h the minimal polynomial of beta = alpha**(-N).
+def _generator_trace_word(F: ExtField, h: list[int], powers: np.ndarray, N: int,
+                          n: int) -> np.ndarray:
+    """(x**n - 1)/h, in the trace table's dtype, for h the minimal
+    polynomial of beta = alpha**(-N) and powers its rows beta**0..beta**k.
 
     Dividing x**m by a monic h of degree k puts at x**j the x**(k-1)
     coefficient of x**(m-1-j) mod h, and Euler's dual-basis formula reads
@@ -200,14 +209,11 @@ def _generator_trace_word(F: ExtField, h: list[int], N: int, n: int) -> list[int
     is 1, the quotient is the trace word g_j = Tr(tau * alpha**(N*j)) with
     tau = 1/(beta * h'(beta)), read from the trace table in one gather.
     beta * h'(beta) is the sum of (i * h_i mod q) * beta**i over i = 1..k,
-    formed from the digits of those powers of alpha; the log of tau is
-    minus its dlog.
+    one product with rows 1..k of powers; the log of tau is minus its dlog.
     """
-    q, k, i = F.q, F.k, np.arange(1, len(h))
-    powers = F.exp_table[-N * i % F.group_order]
-    acc = int(np.array(h[1:]) * i % q @ field._digits(powers, q, k) % q @ q ** np.arange(k))
-    steps = -F.dlog(acc) + N * np.arange(n - len(h) + 2)
-    return F.trace_table()[steps % F.group_order].tolist()
+    q, k = F.q, F.k
+    acc = int(np.array(h[1:]) * np.arange(1, k + 1) % q @ powers[1:] % q @ q ** np.arange(k))
+    return F.trace_table()[(N * np.arange(n - k + 1) - F.dlog(acc)) % F.group_order]
 
 
 def _code_length(q: int, k: int, N: int) -> int:
@@ -230,21 +236,22 @@ def _code_length(q: int, k: int, N: int) -> int:
 def irreducible_cyclic_code(q: int, k: int, N: int) -> CodeSpec:
     """Build the [n, k] irreducible cyclic code with n = (q**k - 1)/N.
 
-    The check polynomial is the minimal polynomial of alpha**(-N), which
-    is exactly the degree-k irreducible factor of x**n - 1 whose code
-    contains every trace word (Tr(tau), Tr(tau*alpha**N), ...).
+    The check polynomial h is the minimal polynomial of beta = alpha**(-N),
+    the degree-k factor of x**n - 1 whose code holds every trace word
+    (Tr(tau), Tr(tau*alpha**N), ...). It is irreducible by construction:
+    _min_poly gives a monic h of degree k with h(beta) = 0, or raises.
+    beta has order n, as _tables proves alpha primitive, and
+    ord_n(q) = k, as _code_length checks, so minpoly(beta) has degree k.
+    It divides h, so h = minpoly(beta). The generator g reuses the walk
+    of beta's powers; h * g = x**n - 1 is checked in place.
     """
     n = _code_length(q, k, N)
     F = build_ext_field(q, k)
-    # alpha**(-N) has order n, so its degree is ord_n(q) = k; _min_poly checks it
-    h = _min_poly(field._context(q, k), F.coeffs(F.alpha_pow(-N)), k)
-    if not poly.is_irreducible(h, q):
-        raise NoDegreeKFactor("check polynomial is reducible")
-
-    g = _generator_trace_word(F, h, N, n)
-    if not np.array_equal(np.convolve(h, g) % q, poly.x_pow_n_minus_1(n, q)):
+    h, powers = _min_poly(field._context(q, k), F.coeffs(F.alpha_pow(-N)), k)
+    g = _generator_trace_word(F, h, powers, N, n)
+    if not _is_xn_minus_1(np.convolve(h, g), n, q):
         raise NoDegreeKFactor(f"check polynomial does not divide x^{n} - 1")
-    return CodeSpec(q=q, k=k, n=n, N=N, field=F, generator=g, check=h)
+    return CodeSpec(q=q, k=k, n=n, N=N, field=F, generator=g.tolist(), check=h)
 
 
 def generator_matrix(spec: CodeSpec) -> list[list[int]]:

@@ -85,13 +85,6 @@ def unpack(v: int, q: int, k: int) -> list[int]:
     return out
 
 
-def x_pow_n_minus_1(n: int, q: int) -> list[int]:
-    p = [0] * (n + 1)
-    p[0] = q - 1
-    p[n] = 1
-    return p
-
-
 def to_string(p: list[int]) -> str:
     """Human-readable form, highest degree first, e.g. 'x^4 + x + 1'."""
     if not p:

@@ -72,6 +72,10 @@ def enumerate_span(basis, q):
         yield tuple(w)
 
 
+def x_pow_n_minus_1(n, q):
+    return [q - 1] + [0] * (n - 1) + [1]
+
+
 def all_monic(q, k):
     """Every monic degree-k polynomial over GF(q), low degree first."""
     for tail in itertools.product(range(q), repeat=k):

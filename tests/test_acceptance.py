@@ -8,6 +8,7 @@ spectra for each code once.
 """
 
 import functools
+import hashlib
 import json
 import math
 import subprocess
@@ -27,6 +28,7 @@ from cycenum.weights import WeightEnumerator, _formula_inputs, _s_values, macwil
 from gf_utils import enumerate_span, gf_nullspace, spectrum_from_words
 
 SWEEP_CAP = 2**12
+FACTORS_SHA256 = "9992055e4532b466e7abd4d748ffd3ddb9e08013fae9a72e48880ba7a6d6aad1"
 PAPER_PARTITION = ("{0}", "{1,3,9,11}", "{2,6}", "{4,12}", "{5,15,13,7}",
                    "{8}", "{10,14}")
 
@@ -164,11 +166,14 @@ def test_criterion_4_gauss_magnitudes():
 @criterion(5, "x^n - 1 factors exactly for n <= 200, q in {2,3,5}: product, "
               "irreducibility, coset count")
 def test_criterion_5_factorization():
+    # golden digest of the factor lists, one JSON line [n, q, factors] each
+    golden = hashlib.sha256()
     for q in (2, 3, 5):
         for n in range(1, 201):
             if n % q == 0:
                 continue
             factors = ce.factor_xn_minus_1(n, q)
+            golden.update(json.dumps([n, q, factors]).encode() + b"\n")
             acc = np.array([1], dtype=np.int64)
             for f in factors:
                 assert poly.is_irreducible(f, q), (n, q, f)
@@ -178,6 +183,7 @@ def test_criterion_5_factorization():
             expect[n] = 1
             assert np.array_equal(acc, expect), (n, q)
             assert len(factors) == ce.coset_count_formula(n, q), (n, q)
+    assert golden.hexdigest() == FACTORS_SHA256
 
 
 @criterion(6, "weights divisible by q^(theta-1); distinct nonzero weights <= N")

@@ -1,3 +1,6 @@
+import functools
+import itertools
+import json
 import os
 import subprocess
 import sys
@@ -20,7 +23,7 @@ from cycenum.cosets import multiplicative_order
 from cycenum.errors import InvalidParameters, NoDegreeKFactor, NotCoprime, OrderMismatch
 from cycenum.intmath import divisors, factorize, is_prime
 from gf_utils import (all_monic, enumerate_span, gf_rank, orbit_product_reference,
-                      trace_words, valid_codes)
+                      trace_words, valid_codes, x_pow_n_minus_1)
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +87,7 @@ def test_factor_x15_minus_1_gf2():
     prod = [1]
     for f in factors:
         prod = poly.poly_mul(prod, f, 2)
-    assert prod == poly.x_pow_n_minus_1(15, 2)
+    assert prod == x_pow_n_minus_1(15, 2)
     assert all(poly.is_irreducible(f, 2) for f in factors)
     part = cosets_full(15, 2)
     assert [poly.degree(f) for f in factors] == [c.size for c in part.cosets]
@@ -96,7 +99,7 @@ def test_factor_product_and_count(n, q):
     prod = [1]
     for f in factors:
         prod = poly.poly_mul(prod, f, q)
-    assert prod == poly.x_pow_n_minus_1(n, q)
+    assert prod == x_pow_n_minus_1(n, q)
     assert len(factors) == coset_count_formula(n, q)
     assert all(poly.is_irreducible(f, q) for f in factors)
 
@@ -150,7 +153,8 @@ def test_factor_rejects_common_divisor():
 def test_min_poly_reference_root_sources_and_wrong_degree():
     # every Frobenius orbit of alpha in every table field with q**k <= 2**10,
     # given as its first member and its size, against the packed-int
-    # product through the log tables
+    # product through the log tables; the rows it was solved over are the
+    # root's powers 0..size
     for q in range(2, 1 << 10):
         if not is_prime(q):
             continue
@@ -159,9 +163,11 @@ def test_min_poly_reference_root_sources_and_wrong_degree():
             F = build_ext_field(q, k)
             ctx = poly.ModMulContext(list(F.modulus), q)
             for orbit in cosets_full(F.group_order, q).cosets:
-                root = F.coeffs(F.alpha_pow(orbit.members[0]))
-                assert (codes._min_poly(ctx, root, orbit.size)
-                        == orbit_product_reference(F, orbit.members))
+                e = orbit.members[0]
+                h, powers = codes._min_poly(ctx, F.coeffs(F.alpha_pow(e)), orbit.size)
+                assert h == orbit_product_reference(F, orbit.members)
+                assert powers.tolist() == [list(F.coeffs(F.alpha_pow(e * i)))
+                                           for i in range(orbit.size + 1)]
             k += 1
     # roots as powers of an element of order f (factor_xn_minus_1) and as
     # digits of alpha**e, e = (q**k - 1)/n * s, give the same factors
@@ -175,7 +181,7 @@ def test_min_poly_reference_root_sources_and_wrong_degree():
                 ctx = field._context(q, k)
                 minimal = sorted(
                     codes._min_poly(ctx, F.coeffs(F.alpha_pow(F.group_order // n * c.leader)),
-                                    c.size)
+                                    c.size)[0]
                     for c in cosets_full(n, q).cosets)
                 assert sorted(factor_xn_minus_1(n, q)) == minimal, (n, q)
             k += 1
@@ -231,34 +237,55 @@ def test_code_rejects_bad_order():
         irreducible_cyclic_code(2, 4, 7)  # 7 does not divide 15
 
 
-def test_check_polynomial_verified_under_python_O():
-    # python -O strips assert statements; the irreducibility check must not go
+def degree_k_divisors(n, q, k):
+    """Every monic degree-k divisor of x**n - 1 over GF(q), each a product
+    of a set of its irreducible factors."""
+    factors = factor_xn_minus_1(n, q)
+    return {tuple(functools.reduce(lambda a, b: poly.poly_mul(a, b, q), sub))
+            for r in range(1, k + 1) for sub in itertools.combinations(factors, r)
+            if sum(len(f) - 1 for f in sub) == k}
+
+
+def test_wrong_check_polynomial_rejected_under_python_O():
+    # h is irreducible by construction, so no test runs on it. Every other
+    # monic degree-k divisor of x**n - 1, put in place of _min_poly's h,
+    # must fail the h * g = x**n - 1 check, a raise that python -O keeps.
+    cases = []
+    for q, k, N in ((2, 4, 1), (2, 6, 1), (2, 6, 3), (3, 3, 2), (5, 2, 3)):
+        h = irreducible_cyclic_code(q, k, N).check
+        wrong = sorted(degree_k_divisors((q**k - 1) // N, q, k) - {tuple(h)})
+        assert wrong, (q, k, N)
+        cases += [[q, k, N, list(d)] for d in wrong]
     script = "\n".join([
-        "from cycenum import poly",
-        "from cycenum.codes import irreducible_cyclic_code",
+        "import json, sys",
+        "from cycenum import codes",
         "from cycenum.errors import NoDegreeKFactor",
-        "irreducible_cyclic_code(2, 4, 3)  # builds GF(16) before the patch",
-        "poly.is_irreducible = lambda p, q: False",
-        "try:",
-        "    irreducible_cyclic_code(2, 4, 3)",
-        "except NoDegreeKFactor:",
-        "    raise SystemExit(0)",
-        "raise SystemExit('a reducible check polynomial was accepted')",
+        "right = codes._min_poly",
+        "cases = json.loads(sys.argv[1])",
+        "for q, k, N, h in cases:",
+        "    codes._min_poly = lambda ctx, root, m, h=h: (h, right(ctx, root, m)[1])",
+        "    try:",
+        "        codes.irreducible_cyclic_code(q, k, N)",
+        "    except NoDegreeKFactor:",
+        "        continue",
+        "    raise SystemExit(f'{h} was taken as the check polynomial of {q, k, N}')",
+        "print(len(cases))",
     ])
     env = {**os.environ, "PYTHONPATH": str(Path(cycenum.__file__).parents[1])}
-    run = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+    run = subprocess.run([sys.executable, "-O", "-c", script, json.dumps(cases)], env=env,
                          capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == [str(len(cases))]
 
 
 def test_check_divides_xn_minus_1():
     for q, k, N in ((2, 4, 1), (2, 4, 3), (3, 2, 2), (5, 2, 3)):
         spec = irreducible_cyclic_code(q, k, N)
         assert spec.n * N == q**k - 1
-        _, rem = poly.poly_divmod(poly.x_pow_n_minus_1(spec.n, q), spec.generator, q)
+        _, rem = poly.poly_divmod(x_pow_n_minus_1(spec.n, q), spec.generator, q)
         assert rem == []
         prod = poly.poly_mul(spec.generator, spec.check, q)
-        assert prod == poly.x_pow_n_minus_1(spec.n, q)
+        assert prod == x_pow_n_minus_1(spec.n, q)
 
 
 def test_generator_is_the_long_division_quotient():
@@ -266,7 +293,7 @@ def test_generator_is_the_long_division_quotient():
     # code with q <= 13 and q**k <= 2**10
     for q, k, N in valid_codes(1 << 10, (2, 3, 5, 7, 11, 13)):
         spec = irreducible_cyclic_code(q, k, N)
-        quot, rem = poly.poly_divmod(poly.x_pow_n_minus_1(spec.n, q), spec.check, q)
+        quot, rem = poly.poly_divmod(x_pow_n_minus_1(spec.n, q), spec.check, q)
         assert rem == []
         assert spec.generator == quot
         assert all(type(c) is int for c in spec.generator)
@@ -275,7 +302,7 @@ def test_generator_is_the_long_division_quotient():
 def test_wrong_generator_rejected(monkeypatch):
     right = codes._generator_trace_word
     monkeypatch.setattr(codes, "_generator_trace_word",
-                        lambda F, h, N, n: [1 - c for c in right(F, h, N, n)])
+                        lambda F, h, powers, N, n: 1 - right(F, h, powers, N, n))
     with pytest.raises(NoDegreeKFactor):
         irreducible_cyclic_code(2, 4, 1)
 
