@@ -1,6 +1,6 @@
 """cycenum: weight enumerators of irreducible cyclic codes.
 
-Finite fields with log/antilog tables, cyclotomic-coset sieving,
+Finite fields held as trace tables, cyclotomic-coset sieving,
 factorization of x**n - 1 through minimal polynomials, exact Gauss sums,
 the Gauss-sum weight formula with its brute-force oracle, the MacWilliams
 transform, and a classical simulation of bounded-error phase estimation

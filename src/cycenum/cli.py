@@ -35,21 +35,24 @@ from .weights import (
 SCHEMA = 1
 
 # Input budget: the largest sizes the CLI accepts, checked before any work.
-# cosets N, and factor n, cost an N-bit sieve and an O(N) loop; 2^22
-# matches the table cap. Each pipeline trial keeps a report until the
-# output is written, and draws d - 1 phases; 10^6 draws take about 9 s.
-# factor works in the splitting field GF(q^m), m = ord_n(q): m = 200
-# covers every n <= 200. Its work is estimated as n^2, for the product
-# check's chain of one convolution per factor, plus 10 m^3 per factor, for
-# the minimal polynomials; inputs just under 10^10 of it take 3-11 s. A
-# dual count is at most q^(n-k), the size of the dual; CPython prints no
-# int of more than 4300 digits by default.
+# cosets N, and factor n, cost an N-bit sieve and an O(N) loop; 2^22 matches
+# the table cap. Each pipeline trial keeps a report until the output is
+# written, and draws d - 1 phases; 10^6 draws take about 9 s. factor works in
+# the splitting field GF(q^m), m = ord_n(q): m = 200 covers every n <= 200.
+# Its work is estimated as n^2, for the product check's chain of one
+# convolution per factor, plus 10 m^3 per factor, for the minimal
+# polynomials; inputs just under 10^10 of it take 3-11 s. A dual count is at
+# most q^(n-k), the size of the dual; CPython prints no int of more than 4300
+# digits by default. The weight formula sums d - 1 Gauss sums of q^k - 1
+# terms, 3.5-11 ns a term (2-vCPU x86, one BLAS thread): `weights 2039 2 204`,
+# 8.4 * 10^8 terms, took 9.3 s.
 MAX_COSETS_N = 1 << 22
 MAX_TRIALS = 100_000
 MAX_DRAWS = 1_000_000
 MAX_FACTOR_DEGREE = 200
 MAX_FACTOR_WORK = 10**10
 MAX_DUAL_DIGITS = 4300
+MAX_FORMULA_CELLS = 10**9
 
 
 def _emit(args, payload: dict, text_lines) -> None:
@@ -63,6 +66,20 @@ def _emit(args, payload: dict, text_lines) -> None:
 
 def _poly_str(coeffs: Iterable[int]) -> str:
     return "[" + ", ".join(str(c) for c in coeffs) + "]"
+
+
+def _check_formula(q: int, k: int, d: int) -> None:
+    if (d - 1) * (q**k - 1) > MAX_FORMULA_CELLS:
+        raise InvalidParameters(f"the formula's {d - 1} Gauss sums over GF({q}^{k}) exceed the "
+                                f"limit of {MAX_FORMULA_CELLS} terms; try --method brute")
+
+
+def _formula_code(args):
+    """The code of weights and dual, refusing first a formula over MAX_FORMULA_CELLS."""
+    if args.method != "brute":
+        n = _code_length(args.q, args.k, args.N)
+        _check_formula(args.q, args.k, math.gcd(args.N, n * args.N // (args.q - 1)))
+    return irreducible_cyclic_code(args.q, args.k, args.N)
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +164,7 @@ def _spectrum(spec, method: str):
 
 
 def cmd_weights(args) -> tuple[dict, Iterable[str]]:
-    spec = irreducible_cyclic_code(args.q, args.k, args.N)
+    spec = _formula_code(args)
     spectrum = _spectrum(spec, args.method)
     payload = {
         "q": spec.q, "k": spec.k, "N": spec.N, "n": spec.n,
@@ -162,7 +179,7 @@ def cmd_weights(args) -> tuple[dict, Iterable[str]]:
 
 
 def cmd_dual(args) -> tuple[dict, Iterable[str]]:
-    spec = irreducible_cyclic_code(args.q, args.k, args.N)
+    spec = _formula_code(args)
     # q^(n-k) has floor((n-k) log10 q) + 1 digits
     if (spec.n - spec.k) * math.log10(spec.q) >= MAX_DUAL_DIGITS:
         raise InvalidParameters(f"the dual of the [{spec.n},{spec.k}] code has "
@@ -228,6 +245,7 @@ def cmd_pipeline(args) -> tuple[dict, Iterable[str]]:
         if args.trials * (d - 1) > MAX_DRAWS:
             raise InvalidParameters(f"{args.trials} trials of {d - 1} phase draws each "
                                     f"exceed the draw limit {MAX_DRAWS}")
+        _check_formula(args.q, args.k, d)
     reports = run_pipeline_trials(args.q, args.k, args.N, args.epsilon,
                                   range(args.seed, args.seed + args.trials), args.force)
     if args.trials > 1:

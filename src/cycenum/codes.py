@@ -10,10 +10,10 @@ no log tables (and no table cap) are involved.
 Every such factor, and every check polynomial of a code, comes from one
 routine, _min_poly: the unique monic relation of degree m, the coset
 size, among the powers 1, r, ..., r**m of one root (Lidl & Niederreiter,
-Finite Fields, ch. 3), one poly.powers walk over the root's matrix and
-one Gauss-Jordan solve mod q. Its root is an element of order f raised
-to a coset leader, or a code's beta = alpha**(-N), whose generator reuses
-the walk's rows: no field table but the trace is read here.
+Finite Fields, ch. 3), one Gauss-Jordan solve mod q over their images
+under a one-to-one GF(q)-linear map: coefficient vectors from a
+poly.powers walk for a root of order f, and for a code's beta = alpha**(-N)
+trace windows, the only part of a field that a code build reads.
 """
 
 from dataclasses import dataclass
@@ -40,21 +40,18 @@ __all__ = [
 # minimal polynomials and the factors of x**n - 1
 
 
-def _min_poly(ctx: poly.ModMulContext, root: np.ndarray,
-              m: int) -> tuple[list[int], np.ndarray]:
-    """Monic degree-m minimal polynomial of root (a vector mod ctx.modulus),
-    and the (m + 1) x k rows of root**0, ..., root**m it was solved over.
+def _min_poly(rows: np.ndarray, q: int) -> list[int]:
+    """Monic degree-m minimal polynomial of r from m + 1 rows of length k,
+    r**0, ..., r**m under a one-to-one GF(q)-linear map, which keeps relations.
 
-    The columns of A hold 1, r, ..., r**m, from poly.powers over r's
-    matrix; Gauss-Jordan elimination mod q solves sum c_i r**i = -r**m over
-    i < m. A missing pivot means a degree below m (the zero rows past k
-    hold none when m > k); a nonzero entry under the pivots in the last
-    column, one above m. Both raise OrderMismatch.
+    The columns of A, int64, hold the rows; Gauss-Jordan elimination mod q solves
+    sum c_i r**i = -r**m over i < m. A missing pivot means a degree below
+    m (the zero rows past k hold none when m > k); a nonzero entry under
+    the pivots in the last column, one above m. Both raise OrderMismatch.
     """
-    q, k = ctx.q, ctx.k
-    powers = poly.powers(np.eye(1, k, dtype=np.int64)[0], ctx.matrices(root), m + 1, q)
+    m, k = len(rows) - 1, rows.shape[1]
     A = np.zeros((max(k, m), m + 1), dtype=np.int64)
-    A[:k] = powers.T
+    A[:k] = rows.T
     for j in range(m):
         p = j + A[j:, j].argmax()  # entries lie in [0, q): a nonzero one if any
         if p != j:
@@ -68,7 +65,7 @@ def _min_poly(ctx: poly.ModMulContext, root: np.ndarray,
         A %= q
     if A[m:, m].any():
         raise OrderMismatch(f"a root of degree above {m}")
-    return ((-A[:m, m]) % q).tolist() + [1], powers
+    return ((-A[:m, m]) % q).tolist() + [1]
 
 
 def _element_of_order(ctx: poly.ModMulContext, f: int) -> np.ndarray:
@@ -123,7 +120,9 @@ def _factor_cyclotomic(f: int, q: int) -> dict[int, tuple[int, ...]]:
 
     ctx = field._context(q, k)  # GF(q**k) as GF(q)[z]/(h), no tables
     beta = _element_of_order(ctx, f)
-    factors = {c.leader: tuple(_min_poly(ctx, ctx.pow(beta, c.leader), c.size)[0])
+    one = np.eye(1, k, dtype=np.int64)[0]
+    factors = {c.leader: tuple(_min_poly(poly.powers(one, ctx.matrices(ctx.pow(beta, c.leader)),
+                                                     c.size + 1, q), q))
                for c in coset_leaders(f, q).cosets if gcd(c.leader, f) == 1}
     if len(factors) != phi // k:
         raise SpectrumMismatch(f"{len(factors)} factors of Phi_{f}, expected {phi // k}")
@@ -198,22 +197,22 @@ class CodeSpec:
         return f"CodeSpec([{self.n},{self.k}] over GF({self.q}), N={self.N})"
 
 
-def _generator_trace_word(F: ExtField, h: list[int], powers: np.ndarray, N: int,
+def _generator_trace_word(F: ExtField, h: list[int], windows: np.ndarray, N: int,
                           n: int) -> np.ndarray:
     """(x**n - 1)/h, in the trace table's dtype, for h the minimal
-    polynomial of beta = alpha**(-N) and powers its rows beta**0..beta**k.
+    polynomial of beta = alpha**(-N) and windows those of beta**0..beta**k.
 
     Dividing x**m by a monic h of degree k puts at x**j the x**(k-1)
     coefficient of x**(m-1-j) mod h, and Euler's dual-basis formula reads
     that coefficient of x**i mod h as Tr(beta**i / h'(beta)). As beta**n
     is 1, the quotient is the trace word g_j = Tr(tau * alpha**(N*j)) with
     tau = 1/(beta * h'(beta)), read from the trace table in one gather.
-    beta * h'(beta) is the sum of (i * h_i mod q) * beta**i over i = 1..k,
-    one product with rows 1..k of powers; the log of tau is minus its dlog.
+    The window of beta * h'(beta) is the sum of (i * h_i mod q) times that
+    of beta**i over i = 1..k, and the log of tau is minus its log.
     """
     q, k = F.q, F.k
-    acc = int(np.array(h[1:]) * np.arange(1, k + 1) % q @ powers[1:] % q @ q ** np.arange(k))
-    return F.trace_table()[(N * np.arange(n - k + 1) - F.dlog(acc)) % F.group_order]
+    log = F._window_log(np.array(h[1:]) * np.arange(1, k + 1) % q @ windows[1:] % q)
+    return F.trace_table()[(N * np.arange(n - k + 1) - log) % F.group_order]
 
 
 def _code_length(q: int, k: int, N: int) -> int:
@@ -242,13 +241,15 @@ def irreducible_cyclic_code(q: int, k: int, N: int) -> CodeSpec:
     _min_poly gives a monic h of degree k with h(beta) = 0, or raises.
     beta has order n, as _tables proves alpha primitive, and
     ord_n(q) = k, as _code_length checks, so minpoly(beta) has degree k.
-    It divides h, so h = minpoly(beta). The generator g reuses the walk
-    of beta's powers; h * g = x**n - 1 is checked in place.
+    It divides h, so h = minpoly(beta). The windows of beta**i, i <= k,
+    are trace[(j - N*i) mod (q**k - 1)] for j < k, one gather that the
+    generator g reuses; h * g = x**n - 1 is checked in place.
     """
     n = _code_length(q, k, N)
     F = build_ext_field(q, k)
-    h, powers = _min_poly(field._context(q, k), F.coeffs(F.alpha_pow(-N)), k)
-    g = _generator_trace_word(F, h, powers, N, n)
+    windows = F.trace_table()[(np.arange(k) - N * np.arange(k + 1)[:, None]) % F.group_order]
+    h = _min_poly(windows, q)
+    g = _generator_trace_word(F, h, windows, N, n)
     if not _is_xn_minus_1(np.convolve(h, g), n, q):
         raise NoDegreeKFactor(f"check polynomial does not divide x^{n} - 1")
     return CodeSpec(q=q, k=k, n=n, N=N, field=F, generator=g.tolist(), check=h)

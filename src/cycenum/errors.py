@@ -14,7 +14,7 @@ class NotPrime(CycenumError):
 
 
 class TableCapExceeded(CycenumError):
-    """q**k exceeds the configured log/antilog table cap."""
+    """q**k exceeds the configured trace-table cap."""
 
 
 class NoIrreducibleFound(CycenumError):

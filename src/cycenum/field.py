@@ -1,17 +1,17 @@
-"""Extension fields GF(q**k) with exp and trace tables.
+"""Extension fields GF(q**k), each held as its trace table.
 
 Elements of GF(q**k) are plain ints in [0, q**k): the packed value
 sum(c_i * q**i) of the coefficient vector (c_0, ..., c_(k-1)) over GF(q).
-Zero is 0 and the multiplicative identity is 1. A field is its tables,
-read through a verified primitive element alpha: the packed value of
-each power of alpha and its trace. A discrete log searches the exp table.
-
-The exp table is an int64 numpy array and the trace table one of the
-narrowest unsigned dtype that holds q - 1, both built in one pass with no
-per-element Python loop. Multiplication by a fixed element is a
-GF(q)-linear map, a k x k matrix acting on coefficient vectors;
-poly.ModMulContext.matrices gives these matrices, reduced by the same
-table of x**(k+j) mod the modulus that its multiply uses. So:
+Zero is 0 and the multiplicative identity is 1. A field is its trace
+table Tr(alpha**m), alpha a verified primitive element, read through
+windows: (Tr(y * alpha**j)) for j < k is GF(q)-linear and one-to-one in
+y, the trace form being nondegenerate (Lidl & Niederreiter, Finite
+Fields, ch. 2), and for y = alpha**m it is the table's run of k entries
+from m (Golomb, Shift Register Sequences). So a log is one byte search.
+The table is built in one pass with no per-element loop: multiplication
+by a fixed element is a GF(q)-linear map, a k x k matrix acting on
+coefficient vectors, that poly.ModMulContext.matrices gives, reduced by
+the same table of x**(k+j) mod the modulus that its multiply uses. So:
 
 - alpha is found by raising the matrices of a batch of candidates to
   (q**k - 1)/p for every prime p at once;
@@ -28,10 +28,8 @@ Every check raises rather than asserts, so it holds under python -O:
 alpha**(q**k - 1) must be the first power of alpha equal to 1, so that
 alpha reaches every nonzero element exactly once, and the trace table
 must take each value of GF(q) exactly q**(k-1) times over the field, as
-a nonzero linear functional does.
-
-Fields are immutable after construction and safe to share between any
-number of readers.
+a nonzero linear functional does. Fields, their tables read-only, are
+immutable after construction and safe to share between any readers.
 """
 
 import operator
@@ -50,26 +48,27 @@ _SCAN = 8  # primitive-element candidates tested per batch
 
 
 class ExtField:
-    """GF(q**k) built from a monic irreducible modulus, with its tables.
+    """GF(q**k) built from a monic irreducible modulus, held as its trace table.
 
-    exp_table[i] is the packed value of alpha**i and trace_table()[i] is
-    Tr(alpha**i), for i in [0, q**k - 2]: exp_table is int64 and the trace
-    table np.min_scalar_type(q - 1), so uint8 for q <= 256. Both are built in
-    one pass by _tables, which checks the order of alpha and the balance
-    of the trace. Constructed through build_ext_field. check, alpha_pow
-    and dlog return Python ints.
+    trace_table() views _windows, the table's bytes with its first k - 1
+    entries appended so that every window is a run; beside it the field
+    keeps O(k**2), the modulus context and the window map of coefficient
+    vectors. Built by build_ext_field; check, alpha_pow and dlog return ints.
     """
 
-    def __init__(self, q: int, k: int, modulus: tuple[int, ...], alpha: int,
-                 exp_table: np.ndarray, trace: np.ndarray):
-        self.q = q
-        self.k = k
-        self.modulus = modulus
+    def __init__(self, ctx: poly.ModMulContext, alpha: int, window_map: np.ndarray,
+                 windows: bytearray):
+        self.q = q = ctx.q
+        self.k = k = ctx.k
+        self.modulus = tuple(ctx.modulus)
         self.order = q**k
         self.group_order = q**k - 1
         self.alpha = alpha
-        self.exp_table = exp_table
-        self._trace = trace
+        self._ctx = ctx
+        self._window_map = window_map
+        self._windows = windows
+        self._trace = np.frombuffer(windows, np.min_scalar_type(q - 1), self.group_order)
+        self._trace.flags.writeable = False
 
     def check(self, a: int) -> int:
         """a, any integer type, as a Python int if it is in [0, q**k)."""
@@ -77,25 +76,33 @@ class ExtField:
             raise FieldMismatch(f"{a!r} is not an element of GF({self.q}^{self.k})")
         return operator.index(a)
 
-    def coeffs(self, a: int) -> tuple[int, ...]:
-        """Coefficient vector (c_0, ..., c_(k-1)) of an element."""
-        return tuple(poly.unpack(self.check(a), self.q, self.k))
-
     def alpha_pow(self, i: int) -> int:
-        """alpha**i, i.e. the element Exp(i mod (q**k - 1))."""
-        return self.exp_table.item(i % self.group_order)
+        """alpha**i, by square-and-multiply on alpha's coefficient vector."""
+        alpha = np.array(poly.unpack(self.alpha, self.q, self.k))
+        return int(self._ctx.pow(alpha, i % self.group_order) @ self.q ** np.arange(self.k))
 
     def dlog(self, a: int) -> int:
-        """Exponent i with alpha**i == a != 0, found in the exp table."""
-        a = self.check(a)
-        if a == 0:
+        """Exponent i with alpha**i == a != 0, found by a's window."""
+        digits = poly.unpack(self.check(a), self.q, self.k)
+        return self._window_log(digits @ self._window_map % self.q)
+
+    def _window_log(self, w: np.ndarray) -> int:
+        """The m in [0, q**k - 1) with window (Tr(alpha**(m+j)))_(j<k) equal to w, by
+        bytes search past misaligned hits; LogOfZero for 0's, FieldMismatch if absent."""
+        if not np.any(w):
             raise LogOfZero("discrete log of zero")
-        return int((self.exp_table == a).argmax())
+        size, needle = self._trace.itemsize, np.asarray(w, self._trace.dtype).tobytes()
+        hit = self._windows.find(needle)
+        while hit % size and hit != -1:
+            hit = self._windows.find(needle, hit + 1)
+        if hit == -1:
+            raise FieldMismatch(f"{list(w)} is not a trace window of GF({self.q}^{self.k})")
+        return hit // size
 
     def trace_table(self) -> np.ndarray:
-        """Tr(alpha**m) for m in [0, q**k - 2], in the narrowest unsigned
-        dtype that holds q - 1: mix it only with arrays, or with Python ints
-        after a cast, as unsigned arithmetic wraps."""
+        """Tr(alpha**m) for m in [0, q**k - 2], read-only, in the narrowest
+        unsigned dtype that holds q - 1: mix it only with arrays, or with
+        Python ints after a cast, as unsigned arithmetic wraps."""
         return self._trace
 
     def to_dict(self) -> dict:
@@ -148,10 +155,10 @@ def _primitive_element(modulus: list[int], ctx: poly.ModMulContext, q: int) -> i
     raise InvalidParameters("no primitive element found")  # unreachable
 
 
-def _tables(mul: np.ndarray, t: np.ndarray, q: int,
-            k: int) -> tuple[np.ndarray, np.ndarray]:
-    """exp and trace tables of the alpha that mul multiplies by, given
-    t_j = Tr(x**j): exp as int64, the trace as np.min_scalar_type(q - 1).
+def _tables(mul: np.ndarray, t: np.ndarray, q: int, k: int) -> bytearray:
+    """Trace table of the alpha that mul multiplies by, given t_j = Tr(x**j),
+    as the bytes of np.min_scalar_type(q - 1) entries Tr(alpha**m) for m in
+    [0, q**k - 2] and then [0, k - 2] again.
 
     Doubling in digit space fills the first chunk of powers in place:
     rows [B, 2B) of the digit table are rows [0, B) times the matrix of
@@ -161,8 +168,8 @@ def _tables(mul: np.ndarray, t: np.ndarray, q: int,
     is held at a time. Each entry of that product is a sum of k products
     of digits below q, at most k * (q-1)**2 <= 2**44 < 2**53 under
     DEFAULT_TABLE_CAP, so the float64 product is exact. Each chunk's digit
-    rows give its exp values (times the powers of q) and its traces (times
-    t, mod q, as the trace is GF(q)-linear).
+    rows give its traces (times t, mod q, as the trace is GF(q)-linear)
+    and its count of powers equal to 1.
 
     Raises InvalidParameters unless alpha**m != 1 for 0 < m < q**k - 1
     and alpha**(q**k - 1) == 1, and OrderMismatch unless the trace takes
@@ -184,9 +191,10 @@ def _tables(mul: np.ndarray, t: np.ndarray, q: int,
     # size is _CHUNK, a power of two, whenever a later chunk exists, so
     # step is now the matrix of alpha**size.
     digits = first
-    exp = np.empty(group_order, dtype=np.int64)
-    trace = np.empty(group_order, dtype=np.min_scalar_type(q - 1))
-    jump = step
+    dtype = np.min_scalar_type(q - 1)
+    windows = bytearray(dtype.itemsize * (group_order + k - 1))
+    trace = np.frombuffer(windows, dtype)  # filled in place, nothing copied
+    jump, ones = step, 0
     for start in range(0, group_order, size):
         if start:
             if start == size:
@@ -199,22 +207,23 @@ def _tables(mul: np.ndarray, t: np.ndarray, q: int,
             digits = (first[:group_order - start] @ jump).astype(np.int64)
             digits %= q
             jump = jump @ step % q
-        exp[start:start + size] = digits @ qpow
-        trace[start:start + size] = digits @ t % q
+        ones += np.count_nonzero(digits @ qpow == 1)
+        trace[start:start + len(digits)] = digits @ t % q
+    trace[group_order:] = trace[:k - 1]
     # These two checks make alpha primitive and the modulus irreducible:
     # alpha**G == 1 (G = q**k - 1) makes alpha a unit, and no power 1
     # below G makes its order exactly G, so alpha**0, ..., alpha**(G-1)
     # are G distinct units. A ring of q**k elements has at most G units,
     # so these are all its nonzero elements, and the ring is a field.
-    if (exp[1:] == 1).any():
+    if ones > 1:
         raise InvalidParameters("alpha has order below q^k - 1")
     if digits[-1] @ mul % q @ qpow != 1:
         raise InvalidParameters("alpha**(q^k - 1) != 1")
-    counts = np.bincount(trace, minlength=q)
+    counts = np.bincount(trace[:group_order], minlength=q)
     counts[0] += 1  # the zero element
     if (counts != q ** (k - 1)).any():
         raise OrderMismatch("trace is not balanced over the base field")
-    return exp, trace
+    return windows
 
 
 def build_ext_field(q: int, k: int) -> ExtField:
@@ -262,8 +271,9 @@ def _build(q: int, k: int) -> ExtField:
     alpha = _primitive_element(ctx.modulus, ctx, q)
     # Tr(x**j) is the matrix trace of multiplication by x**j
     t = np.einsum("jii->j", ctx.matrices(np.eye(k, dtype=np.int64))) % q
-    tables = _tables(ctx.matrices(_digits([alpha], q, k))[0], t, q, k)
-    return ExtField(q, k, tuple(ctx.modulus), alpha, *tables)
+    mul = ctx.matrices(_digits([alpha], q, k))[0]
+    window_map = poly.powers(t, mul.T, k, q).T  # column j, mul**j @ t, gives Tr(y * alpha**j)
+    return ExtField(ctx, alpha, window_map, _tables(mul, t, q, k))
 
 
 def _cache_clear() -> None:

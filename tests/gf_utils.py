@@ -1,6 +1,7 @@
 """Small GF(q) helpers used as independent test oracles."""
 
 import cmath
+import functools
 import itertools
 import math
 
@@ -128,14 +129,26 @@ def taylor_shift(a, c):
     return a
 
 
+@functools.cache
+def exp_list(F):
+    """alpha**m for m in [0, q**k - 1), packed, by repeated table-free
+    multiplication by F.alpha mod F.modulus; cached per field object."""
+    out, acc = [], 1
+    for _ in range(F.group_order):
+        out.append(acc)
+        acc = _mul_raw(acc, F.alpha, F.modulus, F.q, F.k)
+    return out
+
+
 def orbit_product_reference(F, exponents):
     """Coefficients of the product of (X - alpha**e) over the exponents,
     on packed elements by table-free arithmetic mod F.modulus;
     OrderMismatch when a coefficient is not in the base field."""
     q, k, modulus = F.q, F.k, F.modulus
+    exp = exp_list(F)
     prod = [1]
     for e in exponents:
-        nroot = _mul_raw(q - 1, F.alpha_pow(e), modulus, q, k)
+        nroot = _mul_raw(q - 1, exp[e % F.group_order], modulus, q, k)
         nxt = [0] * (len(prod) + 1)
         for i, c in enumerate(prod):
             nxt[i + 1] = _add_raw(nxt[i + 1], c, q, k)
@@ -152,7 +165,7 @@ def trace_words(spec):
     GF(q), is the constant digit of the sum of the conjugates
     alpha**(m*q**i), so the sum of their packed values mod q."""
     F, q = spec.field, spec.q
-    exp, M = F.exp_table.tolist(), F.group_order
+    exp, M = exp_list(F), F.group_order
     words = [[0] * spec.n]
     for t in range(M):
         words.append([sum(exp[(t + j * spec.N) * q**i % M] for i in range(F.k)) % q

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -264,13 +265,17 @@ def test_input_budget_refused_before_work(argv):
 def test_limits_are_inclusive(capsys, monkeypatch):
     # ord_15(2) = 4, x^15 - 1 has 5 factors over GF(2), so the factor work
     # estimate is 15^2 + 10 * 5 * 4^3, the dual of the [15,4] code has
-    # 2^11 = 2048 words, and 2 trials of the [5,4] code (d = 3) draw 4 phases
+    # 2^11 = 2048 words, 2 trials of the [5,4] code (d = 3) draw 4 phases,
+    # and its formula sums 2 Gauss sums of 15 terms
     pipeline = ["pipeline", "2", "4", "3", "--epsilon", "0.125", "--seed", "7",
                 "--trials", "2"]
     for name, limit, argv in (("MAX_FACTOR_DEGREE", 4, ["factor", "15", "2"]),
                               ("MAX_FACTOR_WORK", 15**2 + 10 * 5 * 4**3, ["factor", "15", "2"]),
                               ("MAX_DUAL_DIGITS", 4, ["dual", "2", "4", "1"]),
-                              ("MAX_DRAWS", 4, pipeline)):
+                              ("MAX_DRAWS", 4, pipeline),
+                              ("MAX_FORMULA_CELLS", 2 * 15, ["weights", "2", "4", "3"]),
+                              ("MAX_FORMULA_CELLS", 2 * 15, ["dual", "2", "4", "3"]),
+                              ("MAX_FORMULA_CELLS", 2 * 15, pipeline)):
         with monkeypatch.context() as patch:
             patch.setattr(cli, name, limit)
             assert run_cli(capsys, *argv)[0] == 0
@@ -278,6 +283,31 @@ def test_limits_are_inclusive(capsys, monkeypatch):
             code, out, err = run_cli(capsys, *argv)
             assert (code, out) == (1, "")
             assert err.startswith("InvalidParameters"), name
+
+
+@pytest.mark.parametrize("argv", [["weights"], ["dual", "--method", "both"],
+                                  ["pipeline", "--epsilon", "0.001", "--seed", "1"]],
+                         ids=["weights", "dual", "pipeline"])
+def test_formula_budget_refused_before_any_field(capsys, monkeypatch, argv):
+    # (2, 22, 6141): n = 683 and d = 6141, so the formula would sum 6140
+    # Gauss sums of 2^22 - 1 terms, about 390 s of work
+    def build(q, k):
+        raise AssertionError(f"GF({q}^{k}) was built")
+
+    monkeypatch.setattr(cycenum.field, "_build", build)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, argv[0], "2", "22", "6141", *argv[1:], "--json")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (1, "")
+    assert err.startswith("InvalidParameters") and "--method brute" in err
+
+
+def test_formula_budget_leaves_brute_force_and_smaller_codes():
+    run = _run_module("weights", "2", "22", "6141", "--method", "brute", "--json", timeout=60)
+    assert run.returncode == 0 and run.stderr == ""
+    assert sum(json.loads(run.stdout)["spectrum"].values()) == 2**22
+    run = _run_module("weights", "2", "20", "75", "--json", timeout=60)
+    assert run.returncode == 0 and run.stderr == ""
 
 
 def test_closed_stdout_ends_without_traceback():

@@ -22,7 +22,7 @@ from cycenum import codes, digit_sum, field, poly
 from cycenum.cosets import multiplicative_order
 from cycenum.errors import InvalidParameters, NoDegreeKFactor, NotCoprime, OrderMismatch
 from cycenum.intmath import divisors, factorize, is_prime
-from gf_utils import (all_monic, enumerate_span, gf_rank, orbit_product_reference,
+from gf_utils import (all_monic, enumerate_span, exp_list, gf_rank, orbit_product_reference,
                       trace_words, valid_codes, x_pow_n_minus_1)
 
 
@@ -150,24 +150,36 @@ def test_factor_rejects_common_divisor():
         factor_xn_minus_1(6, 3)
 
 
+def min_poly_of(ctx, root, m):
+    """_min_poly of a coefficient vector, solved over the rows of its
+    powers 0..m from one poly.powers walk, as _factor_cyclotomic does."""
+    one = np.eye(1, ctx.k, dtype=np.int64)[0]
+    return codes._min_poly(poly.powers(one, ctx.matrices(root), m + 1, ctx.q), ctx.q)
+
+
 def test_min_poly_reference_root_sources_and_wrong_degree():
     # every Frobenius orbit of alpha in every table field with q**k <= 2**10,
     # given as its first member and its size, against the packed-int
-    # product through the log tables; the rows it was solved over are the
-    # root's powers 0..size
+    # product of table-free arithmetic; the rows of the walk are the
+    # root's powers 0..size, and the trace windows of those powers, the
+    # rows irreducible_cyclic_code solves over, give the same polynomial
     for q in range(2, 1 << 10):
         if not is_prime(q):
             continue
         k = 1
         while q**k <= 1 << 10:
             F = build_ext_field(q, k)
+            G, exp = F.group_order, exp_list(F)
             ctx = poly.ModMulContext(list(F.modulus), q)
-            for orbit in cosets_full(F.group_order, q).cosets:
-                e = orbit.members[0]
-                h, powers = codes._min_poly(ctx, F.coeffs(F.alpha_pow(e)), orbit.size)
+            for orbit in cosets_full(G, q).cosets:
+                e, i = orbit.members[0], np.arange(orbit.size + 1)
+                powers = poly.powers(np.eye(1, k, dtype=np.int64)[0],
+                                     ctx.matrices(poly.unpack(exp[e], q, k)), orbit.size + 1, q)
+                assert powers.tolist() == [poly.unpack(exp[e * j % G], q, k) for j in i]
+                h = codes._min_poly(powers, q)
                 assert h == orbit_product_reference(F, orbit.members)
-                assert powers.tolist() == [list(F.coeffs(F.alpha_pow(e * i)))
-                                           for i in range(orbit.size + 1)]
+                windows = F.trace_table()[(e * i[:, None] + np.arange(k)) % G]
+                assert codes._min_poly(windows.astype(np.int64), q) == h
             k += 1
     # roots as powers of an element of order f (factor_xn_minus_1) and as
     # digits of alpha**e, e = (q**k - 1)/n * s, give the same factors
@@ -179,9 +191,10 @@ def test_min_poly_reference_root_sources_and_wrong_degree():
                     continue
                 F = build_ext_field(q, k)
                 ctx = field._context(q, k)
+                exp = exp_list(F)
                 minimal = sorted(
-                    codes._min_poly(ctx, F.coeffs(F.alpha_pow(F.group_order // n * c.leader)),
-                                    c.size)[0]
+                    min_poly_of(ctx, poly.unpack(exp[F.group_order // n * c.leader], q, k),
+                                c.size)
                     for c in cosets_full(n, q).cosets)
                 assert sorted(factor_xn_minus_1(n, q)) == minimal, (n, q)
             k += 1
@@ -192,15 +205,17 @@ def test_min_poly_reference_root_sources_and_wrong_degree():
     ctx = poly.ModMulContext(list(F.modulus), 2)
     for m in (1, 5):
         with pytest.raises(OrderMismatch):
-            codes._min_poly(ctx, F.coeffs(F.alpha), m)
+            min_poly_of(ctx, poly.unpack(F.alpha, 2, 4), m)
     script = "\n".join([
+        "import numpy as np",
         "from cycenum import build_ext_field, codes, poly",
         "from cycenum.errors import OrderMismatch",
         "F = build_ext_field(2, 4)",
         "ctx = poly.ModMulContext(list(F.modulus), 2)",
+        "M = ctx.matrices(poly.unpack(F.alpha, 2, 4))",
         "for m in (1, 5):",
         "    try:",
-        "        codes._min_poly(ctx, F.coeffs(F.alpha), m)",
+        "        codes._min_poly(poly.powers(np.eye(1, 4, dtype=np.int64)[0], M, m + 1, 2), 2)",
         "    except OrderMismatch:",
         "        continue",
         "    raise SystemExit(f'alpha of GF(16) was given degree {m}')",
@@ -260,10 +275,9 @@ def test_wrong_check_polynomial_rejected_under_python_O():
         "import json, sys",
         "from cycenum import codes",
         "from cycenum.errors import NoDegreeKFactor",
-        "right = codes._min_poly",
         "cases = json.loads(sys.argv[1])",
         "for q, k, N, h in cases:",
-        "    codes._min_poly = lambda ctx, root, m, h=h: (h, right(ctx, root, m)[1])",
+        "    codes._min_poly = lambda rows, q, h=h: h",
         "    try:",
         "        codes.irreducible_cyclic_code(q, k, N)",
         "    except NoDegreeKFactor:",

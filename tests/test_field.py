@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import cycenum
-from cycenum import build_ext_field, field, gauss_sum
+from cycenum import build_ext_field, field, gauss_sum, poly
 from cycenum.errors import (FieldMismatch, InvalidParameters, LogOfZero, NotPrime,
                             OrderMismatch, TableCapExceeded)
 from cycenum.intmath import divisors, is_prime
@@ -24,7 +24,8 @@ def test_gf2_trivial_group():
     F = build_ext_field(2, 1)
     assert F.order == 2
     assert F.alpha == 1
-    assert F.exp_table.tolist() == [1]
+    assert F.alpha_pow(0) == F.alpha_pow(1) == 1
+    assert F.trace_table().tolist() == [1]
     assert F.dlog(1) == 0
 
 
@@ -113,18 +114,45 @@ def test_alpha_is_primitive(q, k):
 
 
 def test_table_inverses_everywhere():
-    for q, k in [(2, 8), (3, 3), (5, 3), (251, 1)]:
+    # GF(257) has a uint16 table and k = 1
+    for q, k in [(2, 8), (3, 3), (5, 3), (251, 1), (257, 1)]:
         F = build_ext_field(q, k)
-        assert [F.dlog(F.exp_table[m]) for m in range(F.group_order)] == list(range(F.group_order))
+        assert [F.dlog(F.alpha_pow(m)) for m in range(F.group_order)] == list(range(F.group_order))
         with pytest.raises(LogOfZero):
             F.dlog(0)
 
 
+def test_window_search_steps_past_misaligned_hits():
+    # In GF(4093)'s uint16 table the first byte match of 80 windows
+    # straddles two entries; GF(257) has none, as its high bytes are 0
+    # but for the one entry 256.
+    F = build_ext_field(4093, 1)
+    table = F.trace_table()
+    assert table.dtype == np.uint16
+    raw = table.tobytes()
+    misaligned = [m for m in range(F.group_order)
+                  if raw.find(table[m:m + 1].tobytes()) % 2]
+    assert len(misaligned) == 80
+    assert [F._window_log(table[m:m + 1]) for m in misaligned] == misaligned
+    assert [F.dlog(F.alpha_pow(m)) for m in misaligned] == misaligned
+
+
+@pytest.mark.parametrize("q,k", [(2, 12), (257, 1), (3, 7)])
+def test_window_search_refuses_zero_and_absent_windows(q, k):
+    # q is an entry value no window holds, on a uint8 and a uint16 table;
+    # the search ends at the table's end instead of looping
+    F = build_ext_field(q, k)
+    with pytest.raises(LogOfZero):
+        F._window_log(np.zeros(k, dtype=np.int64))
+    for window in ([q] * k, [1] * (k - 1) + [q]):
+        with pytest.raises(FieldMismatch):
+            F._window_log(np.array(window))
+
+
 def test_numpy_integers_are_elements():
     F = build_ext_field(2, 4)
-    assert F.dlog(F.exp_table[5]) == 5
-    assert F.coeffs(np.int64(3)) == F.coeffs(3) == (1, 1, 0, 0)
-    assert gauss_sum(1, F.exp_table[2], F) == gauss_sum(1, F.alpha_pow(2), F)
+    assert F.dlog(np.int64(F.alpha_pow(5))) == F.dlog(np.uint8(F.alpha_pow(5))) == 5
+    assert gauss_sum(1, np.int64(F.alpha_pow(2)), F) == gauss_sum(1, F.alpha_pow(2), F)
     assert F.dlog(True) == 0
     for value in (F.check(np.int64(7)), F.check(np.uint8(7)), F.check(True)):
         assert type(value) is int
@@ -136,15 +164,15 @@ def test_numpy_integers_are_elements():
 def test_coeffs_roundtrip():
     F = build_ext_field(5, 2)
     for a in range(F.order):
-        assert sum(c * 5**i for i, c in enumerate(F.coeffs(a))) == a
-    assert F.coeffs(0) == (0, 0)
+        assert sum(c * 5**i for i, c in enumerate(poly.unpack(a, 5, 2))) == a
+    assert poly.unpack(0, 5, 2) == [0, 0]
 
 
 @pytest.mark.parametrize("q,k", [(2, 4), (3, 3)])
 def test_element_api_returns_python_ints(q, k):
     F = build_ext_field(q, k)
     a = F.alpha_pow(5)
-    for value in (a, F.alpha_pow(3), F.alpha_pow(10**30), F.dlog(a), *F.coeffs(a)):
+    for value in (a, F.alpha_pow(3), F.alpha_pow(10**30), F.dlog(a)):
         assert type(value) is int
 
 
@@ -166,7 +194,7 @@ def test_errors():
     with pytest.raises(FieldMismatch):
         F.dlog(16)
     with pytest.raises(FieldMismatch):
-        F.coeffs(-1)
+        F.dlog(-1)
     with pytest.raises(FieldMismatch):
         F.dlog(99)
 
@@ -192,29 +220,35 @@ def cold_fields():
     build_ext_field.cache_clear()
 
 
-def _tables_of(F):
-    """Modulus, alpha, exp and trace tables, as reference_field lists them."""
-    return F.modulus, F.alpha, F.exp_table.tolist(), F.trace_table().tolist()
-
-
 @pytest.mark.parametrize("q,k", REFERENCE_FIELDS, ids=[f"{q}^{k}" for q, k in REFERENCE_FIELDS])
 def test_tables_match_per_element_reference(cold_fields, q, k):
+    # alpha_pow is checked on every exponent up to 2**8 and on a fixed
+    # sample of 64 above that, dlog on every element up to 2**8
     F = build_ext_field(q, k)
     modulus, alpha, exp_table, log_table, trace_table = reference_field(q, k)
-    assert _tables_of(F) == (modulus, alpha, exp_table, trace_table)
+    assert (F.modulus, F.alpha, F.trace_table().tolist()) == (modulus, alpha, trace_table)
     assert F.trace_table().dtype == np.min_scalar_type(q - 1)
+    G = F.group_order
+    sample = range(G) if F.order <= 1 << 8 else range(5, G, G // 64)
+    assert [F.alpha_pow(m) for m in sample] == [exp_table[m] for m in sample]
     if F.order <= 1 << 8:
         assert [F.dlog(a) for a in range(1, F.order)] == log_table[1:]
 
 
 @pytest.mark.parametrize("q,k", [(2, 1), (2, 12), (3, 7), (65521, 1)])
-def test_field_holds_exp_and_trace_only(q, k):
-    # per nonzero element, 8 bytes of int64 exp table and the itemsize of
-    # the narrowest unsigned dtype holding q - 1 in the trace table
+def test_field_holds_trace_only(q, k):
+    # the table's bytes, the itemsize of the narrowest unsigned dtype
+    # holding q - 1 per nonzero element plus k - 1 entries of wrap-round,
+    # are held once; beside them only O(k**2), the k x k window map
     F = build_ext_field(q, k)
-    arrays = [v for v in vars(F).values() if isinstance(v, np.ndarray)]
     itemsize = np.min_scalar_type(q - 1).itemsize
-    assert sum(a.nbytes for a in arrays) == (8 + itemsize) * (q**k - 1)
+    buffers = [v for v in vars(F).values() if isinstance(v, (bytes, bytearray))]
+    assert [len(b) for b in buffers] == [itemsize * (q**k - 1 + k - 1)]
+    table = F.trace_table()
+    assert table.nbytes == itemsize * (q**k - 1) and table.base.obj is buffers[0]
+    assert not table.flags.writeable
+    arrays = [v for v in vars(F).values() if isinstance(v, np.ndarray) and v is not table]
+    assert sum(a.nbytes for a in arrays) <= 8 * (k * k + k)
 
 
 def test_cache_key_ignores_call_spelling(cold_fields):
