@@ -85,6 +85,11 @@ def gauss_sum(j: int, beta: int, F: ExtField) -> GaussSumValue:
     return _polar(complex(np.exp(terms, out=terms).sum()))
 
 
+def _order_d(q: int, k: int, N: int) -> int:
+    """d = gcd(N, (q**k - 1)/(q - 1)), the order of the phases' character."""
+    return gcd(N, (q**k - 1) // (q - 1))
+
+
 def order_d_character_sums(spec: CodeSpec) -> list[GaussSumValue]:
     """G(chibar**a, e_1) for a = 1..d-1, d = gcd(N, (q**k - 1)/(q - 1)).
 
@@ -93,7 +98,7 @@ def order_d_character_sums(spec: CodeSpec) -> list[GaussSumValue]:
     """
     F = spec.field
     M, q = F.group_order, F.q
-    d = gcd(spec.N, M // (q - 1))
+    d = _order_d(q, spec.k, spec.N)
     if d <= 1:
         return []
     j0 = M // d

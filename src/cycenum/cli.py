@@ -21,7 +21,7 @@ from collections.abc import Iterable
 from . import __version__
 from .codes import _code_length, factor_xn_minus_1, generator_matrix, irreducible_cyclic_code
 from .cosets import coset_count_formula, coset_leaders, cosets_full, multiplicative_order
-from .characters import gauss_sum
+from .characters import _order_d, gauss_sum
 from .errors import CycenumError, InvalidParameters, SpectrumMismatch
 from .field import DEFAULT_TABLE_CAP, build_ext_field
 from .pipeline import _bound, _theta, icq_membership, run_pipeline_trials
@@ -77,8 +77,8 @@ def _check_formula(q: int, k: int, d: int) -> None:
 def _formula_code(args):
     """The code of weights and dual, refusing first a formula over MAX_FORMULA_CELLS."""
     if args.method != "brute":
-        n = _code_length(args.q, args.k, args.N)
-        _check_formula(args.q, args.k, math.gcd(args.N, n * args.N // (args.q - 1)))
+        _code_length(args.q, args.k, args.N)  # refuses a bad q, k or N before q**k
+        _check_formula(args.q, args.k, _order_d(args.q, args.k, args.N))
     return irreducible_cyclic_code(args.q, args.k, args.N)
 
 
@@ -237,11 +237,10 @@ def cmd_icq_check(args) -> tuple[dict, Iterable[str]]:
 def cmd_pipeline(args) -> tuple[dict, Iterable[str]]:
     if not 1 <= args.trials <= MAX_TRIALS:
         raise InvalidParameters(f"--trials {args.trials} must be in [1, {MAX_TRIALS}]")
-    # d = gcd(N, (q^k - 1)/(q - 1)) is the order of the phases' character;
     # q^k stays small while k is under the table cap, and other bad q, k, N
     # are left to the library, which names them
     if args.q >= 2 and 1 <= args.k < DEFAULT_TABLE_CAP.bit_length() and args.N >= 1:
-        d = math.gcd(args.N, (args.q**args.k - 1) // (args.q - 1))
+        d = _order_d(args.q, args.k, args.N)
         if args.trials * (d - 1) > MAX_DRAWS:
             raise InvalidParameters(f"{args.trials} trials of {d - 1} phase draws each "
                                     f"exceed the draw limit {MAX_DRAWS}")

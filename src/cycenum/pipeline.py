@@ -229,8 +229,9 @@ def run_pipeline_trials(q: int, k: int, N: int, epsilon: float, seeds,
     spec = irreducible_cyclic_code(q, k, N)
     if membership.theta is None:
         theta(spec)
-    part, chi, gammas = _formula_inputs(spec)
-    reference, exact_weights = _exact_spectrum(spec, part, chi, gammas)
+    part, gammas = _formula_inputs(spec)
+    reference, exact_weights = _exact_spectrum(q, k, N, part, gammas)
+    leaders = [c.leader for c in part.cosets]
     num_cosets = coset_count_formula(N, q)
     d, divisor = len(gammas) + 1, q ** (membership.theta - 1)
     rng = random.Random()
@@ -247,15 +248,14 @@ def run_pipeline_trials(q: int, k: int, N: int, epsilon: float, seeds,
             base = seed * 100003
             u[i] = [reseed(base + a) or rand() for a in range(1, d)]
         noisy = gammas + (lo + (epsilon - lo) * u)
-        # stacked matvecs: the same product per trial as a 1-D phase vector
-        rounded = np.rint(_s_values(spec, chi, noisy[:, :, None])[..., 0].real / divisor)
+        rounded = np.rint(_s_values(q, k, N, noisy, leaders).real / divisor)
         as_reference = (rounded * divisor == exact_weights).all(axis=1)
         for seed, errors, row, same in zip(block, (noisy - gammas).tolist(),
                                            rounded, as_reference.tolist()):
             if same:
                 recovered = reference
             else:
-                recovered = _tally(spec, [int(w) * divisor for w in row], part)
+                recovered = _tally(q, k, N, [int(w) * divisor for w in row], part)
             reports.append(PipelineReport(
                 q=spec.q, k=spec.k, N=spec.N, n=spec.n,
                 epsilon=epsilon, seed=seed,

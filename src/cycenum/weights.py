@@ -3,9 +3,9 @@
 One routine, _s_values, evaluates the Gauss-sum weight formula S(b) at
 every q-cyclotomic coset leader b of {0, ..., d-1} in one matrix product,
 d being the order of the phases' character (S(b) depends on b mod d
-alone); _tally turns one weight per leader into a spectrum.
-weight_spectrum_mceliece and the noisy recovery pipeline both go through
-them, with the Gauss sums computed once per code.
+alone); _tally turns one weight per leader into a spectrum. They take
+q, k, N and phases or weights, never a field; weight_spectrum_mceliece and
+the noisy recovery pipeline go through them, Gauss sums computed once per code.
 weight_spectrum_bruteforce is the independent oracle the formula is
 tested against: it reads every trace letter from the field tables, as
 the weight of column r of Tr(alpha**m) reshaped to n x N is the weight of
@@ -80,24 +80,22 @@ class WeightEnumerator:
         return sum(a * x ** (n - i) * y**i for i, a in self.spectrum.counts.items())
 
 
-def _characters(leaders, d: int) -> np.ndarray:
-    """chibar(alpha^b)^(-a), one row per leader b and a column per a < d."""
-    b = np.asarray(leaders).reshape(-1, 1)
-    return np.exp(-2j * np.pi * ((b * np.arange(1, d)) % d) / d)
-
-
-def _s_values(spec: CodeSpec, chi: np.ndarray, gamma: np.ndarray) -> np.ndarray:
-    """S(b) for every row b of chi at the phases gamma, as complex values.
+def _s_values(q: int, k: int, N: int, gamma: np.ndarray, exponents) -> np.ndarray:
+    """S(b) for every exponent b at the phases gamma, as complex values.
 
     S(b) = q^k(q-1)/(qN) - (q-1)/(qN) * sum over a of
     chibar(alpha^b)^(-a) * sqrt(q^k) * exp(i*gamma_a); the magnitude is
     kept at the exact sqrt(q^k) and only the phases enter. For d = 1 the
-    sum is empty.
+    sum is empty. gamma's last axis holds the d - 1 phases and any leading
+    axes are a batch, each row with its own matrix-vector product.
     """
-    q, N, order = spec.q, spec.N, spec.field.order
+    d = gamma.shape[-1] + 1
+    b = np.asarray(exponents).reshape(-1, 1)
+    chi = np.exp(-2j * np.pi * ((b * np.arange(1, d)) % d) / d)
+    order = q**k
     base = order * (q - 1) / (q * N)
     coef = (q - 1) / (q * N)
-    return base - coef * (chi @ (math.sqrt(order) * np.exp(1j * gamma)))
+    return base - coef * (chi @ (math.sqrt(order) * np.exp(1j * gamma))[..., None])[..., 0]
 
 
 def _real(values: np.ndarray) -> np.ndarray:
@@ -107,45 +105,43 @@ def _real(values: np.ndarray) -> np.ndarray:
     return values.real
 
 
-def _tally(spec: CodeSpec, weights, part) -> WeightSpectrum:
+def _tally(q: int, k: int, N: int, weights, part) -> WeightSpectrum:
     """Spectrum from one weight per leader of the cosets mod d: a coset of
     size s covers s*N/d exponents b mod N, each word has n cyclic shifts,
     and A_0 = 1."""
     tallies: dict[int, int] = {}
     for w, coset in zip(weights, part.cosets):
         tallies[w] = tallies.get(w, 0) + coset.size
-    scale = spec.n * (spec.N // part.N)
+    n = (q**k - 1) // N
+    scale = n * (N // part.N)
     counts = {w: scale * a for w, a in tallies.items()}
     counts[0] = counts.get(0, 0) + 1
-    return WeightSpectrum(counts, spec.n)
+    return WeightSpectrum(counts, n)
 
 
 def s_function(iota: int, gauss: list[GaussSumValue], spec: CodeSpec) -> float:
     """Weight of the word indexed by alpha**iota, from the Gauss-sum phases."""
-    d = len(gauss) + 1
     gamma = np.array([g.gamma for g in gauss])
-    return float(_real(_s_values(spec, _characters([iota % d], d), gamma))[0])
+    return float(_real(_s_values(spec.q, spec.k, spec.N, gamma, [iota % (len(gamma) + 1)]))[0])
 
 
 def _formula_inputs(spec: CodeSpec):
-    """The cosets mod d, their leaders' character matrix and the exact
-    phases."""
+    """The q-cyclotomic cosets mod d and the exact phases: the only part
+    of the formula that reads the code's field."""
     gamma = np.array([g.gamma for g in order_d_character_sums(spec)])
-    d = len(gamma) + 1
-    part = coset_leaders(d, spec.q)
-    return part, _characters([c.leader for c in part.cosets], d), gamma
+    return coset_leaders(len(gamma) + 1, spec.q), gamma
 
 
-def _exact_spectrum(spec: CodeSpec, part, chi, gamma) -> tuple[WeightSpectrum, np.ndarray]:
+def _exact_spectrum(q: int, k: int, N: int, part, gamma) -> tuple[WeightSpectrum, np.ndarray]:
     """The spectrum at the exact phases, and the rounded weight per leader."""
-    values = _real(_s_values(spec, chi, gamma))
+    values = _real(_s_values(q, k, N, gamma, [c.leader for c in part.cosets]))
     weights = np.rint(values)
     residue = np.abs(values - weights)
     if residue.max(initial=0.0) > WEIGHT_INT_TOL:
         i = int(residue.argmax())
         raise NonIntegerWeight(
             f"S({part.cosets[i].leader}) = {float(values[i])!r} is not near an integer")
-    return _validated(_tally(spec, weights.astype(int).tolist(), part), spec), weights
+    return _validated(_tally(q, k, N, weights.astype(int).tolist(), part), q, k), weights
 
 
 def weight_spectrum_mceliece(spec: CodeSpec) -> WeightSpectrum:
@@ -156,15 +152,14 @@ def weight_spectrum_mceliece(spec: CodeSpec) -> WeightSpectrum:
     times N/d as multiplicities, scales by n for cyclic shifts, and
     inserts A_0 = 1.
     """
-    return _exact_spectrum(spec, *_formula_inputs(spec))[0]
+    return _exact_spectrum(spec.q, spec.k, spec.N, *_formula_inputs(spec))[0]
 
 
-def _validated(spectrum: WeightSpectrum, spec: CodeSpec) -> WeightSpectrum:
-    if spectrum.total() != spec.field.order:
-        raise SpectrumMismatch(
-            f"sum A_i = {spectrum.total()} != q^k = {spec.field.order}")
-    if any(w < 0 or w > spec.n for w in spectrum.counts):
-        raise SpectrumMismatch(f"weight outside [0, {spec.n}]")
+def _validated(spectrum: WeightSpectrum, q: int, k: int) -> WeightSpectrum:
+    if spectrum.total() != q**k:
+        raise SpectrumMismatch(f"sum A_i = {spectrum.total()} != q^k = {q**k}")
+    if any(w < 0 or w > spectrum.n for w in spectrum.counts):
+        raise SpectrumMismatch(f"weight outside [0, {spectrum.n}]")
     return spectrum
 
 
@@ -181,7 +176,7 @@ def weight_spectrum_bruteforce(spec: CodeSpec) -> WeightSpectrum:
     counts: dict[int, int] = {0: 1}  # the tau = 0 word
     for w in np.nonzero(hist)[0]:
         counts[int(w)] = counts.get(int(w), 0) + spec.n * int(hist[w])
-    return _validated(WeightSpectrum(counts, spec.n), spec)
+    return _validated(WeightSpectrum(counts, spec.n), spec.q, spec.k)
 
 
 # ---------------------------------------------------------------------------

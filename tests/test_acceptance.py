@@ -249,11 +249,12 @@ def test_criterion_8_recovery(sweep):
         assert all(r.oracle_calls == len(r.injected_errors) for r in reports)
         # the paper's guarantee, stronger than exact: every noisy S stays
         # within half the weight divisor q^(theta-1) of the exact S
-        _, chi, gamma = _formula_inputs(rec.spec)
+        part, gamma = _formula_inputs(rec.spec)
+        leaders = [c.leader for c in part.cosets]
         errors = np.array([r.injected_errors for r in reports])
-        noisy = _s_values(rec.spec, chi, (gamma + errors).T).real
-        exact = _s_values(rec.spec, chi, gamma).real
-        ratio = np.abs(noisy - exact[:, None]).max() / (rec.q ** (rec.theta - 1) / 2)
+        noisy = _s_values(rec.q, rec.k, rec.N, gamma + errors, leaders).real
+        exact = _s_values(rec.q, rec.k, rec.N, gamma, leaders).real
+        ratio = np.abs(noisy - exact).max() / (rec.q ** (rec.theta - 1) / 2)
         assert ratio < 1, (rec.q, rec.k, rec.N, ratio)
         margin = max(margin, ratio)
         ran += 1

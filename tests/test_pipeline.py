@@ -329,12 +329,14 @@ def test_trials_equal_single_runs(q, k, N, eps, block_cells, monkeypatch):
 def _independent_trial(spec, eps, seed):
     from cycenum.weights import _formula_inputs, _s_values, _tally
 
-    cosets, chi, gammas = _formula_inputs(spec)
+    q, k, N = spec.q, spec.k, spec.N
+    cosets, gammas = _formula_inputs(spec)
     noisy = np.array([noisy_gauss_oracle(g, eps, seed * 100003 + a)
                       for a, g in enumerate(gammas.tolist(), start=1)])
-    divisor = spec.q ** (theta(spec) - 1)
-    rounded = np.rint(_s_values(spec, chi, noisy).real / divisor)
-    return noisy - gammas, _tally(spec, [int(w) * divisor for w in rounded], cosets)
+    divisor = q ** (theta(spec) - 1)
+    leaders = [c.leader for c in cosets.cosets]
+    rounded = np.rint(_s_values(q, k, N, noisy, leaders).real / divisor)
+    return noisy - gammas, _tally(q, k, N, [int(w) * divisor for w in rounded], cosets)
 
 
 @pytest.mark.parametrize("q,k,N", [(2, 6, 7), (3, 4, 5), (2, 8, 15)])
@@ -356,10 +358,13 @@ def test_stacked_s_values_equal_per_row(q, k, N):
     from cycenum.weights import _formula_inputs, _s_values
 
     spec = irreducible_cyclic_code(q, k, N)
-    _, chi, gammas = _formula_inputs(spec)
+    part, gammas = _formula_inputs(spec)
+    leaders = [c.leader for c in part.cosets]
     noisy = gammas + np.random.default_rng(5).uniform(-0.5, 0.5, (7, len(gammas)))
-    stacked = _s_values(spec, chi, noisy[:, :, None])[..., 0]
-    assert np.array_equal(stacked, np.array([_s_values(spec, chi, row) for row in noisy]))
+    stacked = _s_values(q, k, N, noisy, leaders)
+    assert np.array_equal(stacked, np.array([_s_values(q, k, N, row, leaders) for row in noisy]))
+    # a batch of batches is the same rows again
+    assert np.array_equal(_s_values(q, k, N, noisy.reshape(7, 1, -1), leaders)[:, 0], stacked)
 
 
 def test_seeds_must_be_integers():

@@ -17,7 +17,8 @@ from cycenum import (
     weight_spectrum_bruteforce,
     weight_spectrum_mceliece,
 )
-from cycenum.errors import NonIntegerDualCoefficient, NonIntegerWeight, NonRealResult
+from cycenum.errors import (NonIntegerDualCoefficient, NonIntegerWeight, NonRealResult,
+                            SpectrumMismatch)
 from cycenum.weights import _dual_dense, _dual_krawtchouk, _shift_by
 from gf_utils import (dual_by_expansion, enumerate_span, gf_nullspace, spectrum_from_words,
                       taylor_shift, trace_words)
@@ -72,7 +73,8 @@ def _shift_formula(monkeypatch, delta):
 
     s_values = weights._s_values
     monkeypatch.setattr(weights, "_s_values",
-                        lambda spec, chi, gamma: s_values(spec, chi, gamma) + delta)
+                        lambda q, k, N, gamma, exponents:
+                        s_values(q, k, N, gamma, exponents) + delta)
 
 
 def test_imaginary_residue_raises(monkeypatch):
@@ -89,6 +91,29 @@ def test_non_integer_weight_raises(monkeypatch):
     _shift_formula(monkeypatch, 0.25)
     with pytest.raises(NonIntegerWeight):
         weight_spectrum_mceliece(irreducible_cyclic_code(2, 4, 3))
+
+
+@pytest.mark.parametrize("q,k,N", [(2, 8, 5), (3, 4, 16), (5, 2, 1)])
+def test_formula_layer_builds_no_field(q, k, N, monkeypatch):
+    # below _formula_inputs the formula reads q, k, N and the phases only
+    from cycenum import codes, field, weights
+
+    spec = irreducible_cyclic_code(q, k, N)
+    part, gamma = weights._formula_inputs(spec)
+    expected = weight_spectrum_mceliece(spec)
+
+    def refuse(*args):
+        raise AssertionError(f"the formula layer called {args}")
+
+    monkeypatch.setattr(field, "_build", refuse)
+    monkeypatch.setattr(codes, "irreducible_cyclic_code", refuse)
+    spectrum, rounded = weights._exact_spectrum(q, k, N, part, gamma)
+    assert spectrum == expected
+    tallied = weights._tally(q, k, N, [int(w) for w in rounded], part)
+    assert weights._validated(tallied, q, k) == expected
+    tallied.counts[0] += 1
+    with pytest.raises(SpectrumMismatch):
+        weights._validated(tallied, q, k)
 
 
 # ---------------------------------------------------------------------------
