@@ -18,6 +18,9 @@ its corpus.
 The field layer has a digest of its own: the modulus, alpha and the
 trace table, byte for byte in little-endian order, of every field
 GF(q**k) with prime q < 300 and q**k <= 2**16, 155 of them, built cold.
+Five fields up to the table cap, whose tables span 256 to 1024 chunks of
+powers, have one more: GF(2^20), GF(3^13), GF(2039^2), GF(12289), whose
+last chunk is full, and GF(4194301), in uint8, uint16 and uint32 tables.
 
 Three smaller corpora cover the other integer outputs. The duals: the
 MacWilliams transform of the formula spectrum of every valid code with
@@ -44,6 +47,7 @@ CAP = 1 << 12
 CODES_SHA256 = "af3b9b0ff017ac2fb6d1cfb6d3a31424f5eec5fb291afce2682737407bdbc75f"
 SPECTRA_SHA256 = "2d208c2c46ed8a7a3602330e6c1f38e928aac0f3b081a9f991ff1a3f9b097950"
 FIELDS_SHA256 = "7cec037898e8bd11a668caaa7dfadf03f60f767f64714e445c55e4a027712f67"
+CAP_FIELDS_SHA256 = "dd3ce7444d205fbe2ad665f98ad6017cce0092eeea7d25453d5891a00a806f62"
 DUALS_SHA256 = "1264a5e06166d7066d6bc7e9ae420ebb9e0ecd8256791fc584a7b53e65dfc152"
 FACTORS_SHA256 = "d45afc263d567a67caceb9da4c4867f25c5ee127af614bc0ad5c942f8a8c6663"
 RECOVERY_SHA256 = "8eb55c770eaa19ce3e2c4f106e084e055e0896d2a2feefb7b640a783faa66b9a"
@@ -64,22 +68,30 @@ def test_codes_and_spectra_match_their_digests():
     assert (codes.hexdigest(), spectra.hexdigest()) == (CODES_SHA256, SPECTRA_SHA256)
 
 
-def test_fields_match_their_digest():
+def _fields_digest(fields) -> str:
+    """sha256 of each cold field's line [q, k, modulus, alpha] and its
+    trace table's little-endian bytes, in the order given."""
     digest = hashlib.sha256()
-    count = 0
     build_ext_field.cache_clear()
-    for q in filter(is_prime, range(2, 300)):
-        k = 1
-        while q**k <= 1 << 16:
-            F = build_ext_field(q, k)
-            trace = F.trace_table()
-            digest.update(json.dumps([q, k, list(F.modulus), F.alpha]).encode() + b"\n")
-            digest.update(trace.astype(trace.dtype.newbyteorder("<")).tobytes())
-            count += 1
-            k += 1
+    for q, k in fields:
+        F = build_ext_field(q, k)
+        trace = F.trace_table()
+        digest.update(json.dumps([q, k, list(F.modulus), F.alpha]).encode() + b"\n")
+        digest.update(trace.astype(trace.dtype.newbyteorder("<")).tobytes())
     build_ext_field.cache_clear()
-    assert count == 155
-    assert digest.hexdigest() == FIELDS_SHA256
+    return digest.hexdigest()
+
+
+def test_fields_match_their_digest():
+    fields = [(q, k) for q in filter(is_prime, range(2, 300))
+              for k in range(1, 17) if q**k <= 1 << 16]
+    assert len(fields) == 155
+    assert _fields_digest(fields) == FIELDS_SHA256
+
+
+def test_cap_fields_match_their_digest():
+    fields = [(2, 20), (3, 13), (2039, 2), (12289, 1), (4194301, 1)]
+    assert _fields_digest(fields) == CAP_FIELDS_SHA256
 
 
 def test_duals_match_their_digest():
