@@ -17,19 +17,19 @@ the same table of x**(k+j) mod the modulus that its multiply uses. So:
   (q**k - 1)/p for every prime p at once;
 - the first chunk of _CHUNK powers is filled by doubling in digit space
   (rows [B, 2B) of the digit table are rows [0, B) times the matrix of
-  alpha**B, mod q), and every later chunk is that first chunk times the
-  matrix of alpha**start, one float64 product that is exact under the
-  table cap, so a full q**k x k digit matrix is never held;
-- the trace, a linear functional, is each chunk's digit rows times the
-  vector of traces of the basis x**j, mod q, in the same pass; Tr(x**j)
-  is the matrix trace of multiplication by x**j.
+  alpha**B, mod q), and only that chunk's digits are ever held;
+- the trace, a linear functional, is the first chunk's digit rows times
+  J @ t, mod q, for the chunk from start: J is the matrix of alpha**start
+  and t the vector of traces of the basis x**j, Tr(x**j) being the matrix
+  trace of multiplication by x**j. All of it is int64 arithmetic.
 
 Every check raises rather than asserts, so it holds under python -O:
-alpha**(q**k - 1) must be the first power of alpha equal to 1, so that
-alpha reaches every nonzero element exactly once, and the trace table
-must take each value of GF(q) exactly q**(k-1) times over the field, as
-a nonzero linear functional does. Fields, their tables read-only, are
-immutable after construction and safe to share between any readers.
+alpha**(q**k - 1) must be 1 and alpha**((q**k - 1)/p) not, for every
+prime p | q**k - 1, so that alpha reaches every nonzero element exactly
+once, and the trace table must take each value of GF(q) exactly
+q**(k-1) times over the field, as a nonzero linear functional does.
+Fields, their tables read-only, are immutable after construction and
+safe to share between any readers.
 """
 
 import operator
@@ -162,19 +162,17 @@ def _tables(mul: np.ndarray, t: np.ndarray, q: int, k: int) -> bytearray:
 
     Doubling in digit space fills the first chunk of powers in place:
     rows [B, 2B) of the digit table are rows [0, B) times the matrix of
-    alpha**B, mod q, an int64 product. Every later chunk's digits are the
-    first chunk's times the matrix of alpha**start, a float64 product
-    converted to int64 before the reduction mod q, so one chunk of digits
-    is held at a time. Each entry of that product is a sum of k products
-    of digits below q, at most k * (q-1)**2 <= 2**44 < 2**53 under
-    DEFAULT_TABLE_CAP, so the float64 product is exact. Each chunk's digit
-    rows give its traces (times t, mod q, as the trace is GF(q)-linear)
-    and its count of powers equal to 1.
+    alpha**B, mod q. As the trace is GF(q)-linear, the chunk from start
+    has traces first @ (J @ t), J the matrix of alpha**start, so no other
+    digits are held. Every product is int64: each entry is a sum of k
+    products below q**2, and poly.ModMulContext refuses any q and k with
+    k * (q-1)**2 + q - 1 >= 2**63.
 
-    Raises InvalidParameters unless alpha**m != 1 for 0 < m < q**k - 1
-    and alpha**(q**k - 1) == 1, and OrderMismatch unless the trace takes
-    each value of GF(q) exactly q**(k-1) times over the field, as a
-    nonzero linear functional does.
+    Raises InvalidParameters unless alpha**G == 1 and alpha**(G/p) != 1
+    for every prime p | G = q**k - 1 (a non-unit alpha fails the first),
+    reading each of those digit rows as a first-chunk row times J; and
+    OrderMismatch unless the trace takes each value of GF(q) exactly
+    q**(k-1) times over the field, as a nonzero linear functional does.
     """
     group_order = q**k - 1
     qpow = q ** np.arange(k, dtype=np.int64)
@@ -190,35 +188,29 @@ def _tables(mul: np.ndarray, t: np.ndarray, q: int, k: int) -> bytearray:
         have += m
     # size is _CHUNK, a power of two, whenever a later chunk exists, so
     # step is now the matrix of alpha**size.
-    digits = first
     dtype = np.min_scalar_type(q - 1)
     windows = bytearray(dtype.itemsize * (group_order + k - 1))
     trace = np.frombuffer(windows, dtype)  # filled in place, nothing copied
-    jump, ones = step, 0
+    checks = [group_order // p for p in factorize(group_order)]
+    jump, ones = None, 0  # None: the matrix of alpha**0
     for start in range(0, group_order, size):
+        n = min(size, group_order - start)
+        # digits of alpha**(G/p) for the primes p | G, and of alpha**(G-1)
+        rows = first[[e - start for e in checks if start <= e < start + n] + [n - 1]]
         if start:
-            if start == size:
-                # float64 from here on, and the int64 copy goes; a field
-                # of one chunk never converts
-                first = digits = first.astype(np.float64)
-            # Exact in float64: each entry is at most k * (q-1)**2 <= 2**44
-            # < 2**53 under the table cap, the worst case being k = 1 with
-            # q near 2**22.
-            digits = (first[:group_order - start] @ jump).astype(np.int64)
-            digits %= q
-            jump = jump @ step % q
-        ones += np.count_nonzero(digits @ qpow == 1)
-        trace[start:start + len(digits)] = digits @ t % q
+            jump = step if jump is None else jump @ step % q
+            rows = rows @ jump % q
+        trace[start:start + n] = first[:n] @ (t if jump is None else jump @ t % q) % q
+        ones += np.count_nonzero(rows[:-1] @ qpow == 1)
+        last = rows[-1]
     trace[group_order:] = trace[:k - 1]
-    # These two checks make alpha primitive and the modulus irreducible:
-    # alpha**G == 1 (G = q**k - 1) makes alpha a unit, and no power 1
-    # below G makes its order exactly G, so alpha**0, ..., alpha**(G-1)
+    # These checks make alpha primitive and the modulus irreducible:
+    # alpha**G == 1 makes alpha a unit, and alpha**(G/p) != 1 for every
+    # prime p | G makes its order exactly G, so alpha**0, ..., alpha**(G-1)
     # are G distinct units. A ring of q**k elements has at most G units,
     # so these are all its nonzero elements, and the ring is a field.
-    if ones > 1:
+    if ones or last @ mul % q @ qpow != 1:
         raise InvalidParameters("alpha has order below q^k - 1")
-    if digits[-1] @ mul % q @ qpow != 1:
-        raise InvalidParameters("alpha**(q^k - 1) != 1")
     counts = np.bincount(trace[:group_order], minlength=q)
     counts[0] += 1  # the zero element
     if (counts != q ** (k - 1)).any():

@@ -208,9 +208,10 @@ def test_field_serialization_shape():
 
 # Every field with q**k <= 2**16 except the prime fields GF(q) with
 # 2**8 < q < 65521: those 6487 would take the per-element reference
-# builder many minutes, and GF(65521) stands for them.
+# builder many minutes, and GF(65521) stands for them. GF(12289) has
+# q**k - 1 = 3 * _CHUNK, so its last chunk of powers is full.
 REFERENCE_FIELDS = [(q, k) for q in range(2, 1 << 8) if is_prime(q)
-                    for k in range(1, 17) if q**k <= 1 << 16] + [(65521, 1)]
+                    for k in range(1, 17) if q**k <= 1 << 16] + [(12289, 1), (65521, 1)]
 
 
 @pytest.fixture
@@ -296,22 +297,16 @@ def test_non_primitive_alpha_raises_past_the_first_chunk(monkeypatch, cold_field
         build_ext_field(2, 14)
 
 
-def test_chunk_products_are_exact_in_float64_under_the_cap():
-    # Later chunks multiply digit rows by a k x k matrix in float64: each
-    # entry is a sum of k products of digits below q, so at most
-    # k * (q-1)**2, and it must stay below 2**53 for every field the cap lets in.
-    cap = field.DEFAULT_TABLE_CAP
-
-    def largest_q(k):  # floor(cap ** (1/k)), in integers
-        q = round(cap ** (1 / k))
-        while q**k > cap:
-            q -= 1
-        while (q + 1) ** k <= cap:
-            q += 1
-        return q
-
-    assert max(k * (largest_q(k) - 1) ** 2
-               for k in range(1, cap.bit_length())) < 1 << 53
+@pytest.mark.parametrize("power", [3, 2])
+def test_non_primitive_alpha_raises_at_a_chunk_boundary(monkeypatch, cold_fields, power):
+    # G = 12288 = 3 * _CHUNK in GF(12289): alpha**3 has order G/3, so its
+    # power equal to 1 is row 0 of chunk 1, and alpha**2 has order G/2
+    assert 12288 == 3 * field._CHUNK
+    alpha = build_ext_field(12289, 1).alpha
+    build_ext_field.cache_clear()
+    monkeypatch.setattr(field, "_primitive_element", lambda modulus, ctx, q: pow(alpha, power, q))
+    with pytest.raises(InvalidParameters, match="order below"):
+        build_ext_field(12289, 1)
 
 
 @pytest.mark.parametrize("modulus", [[1, 0, 0, 0, 1], [1, 1, 0, 1, 1]],
@@ -327,8 +322,9 @@ def test_table_checks_hold_under_python_O():
         "from cycenum import build_ext_field, field",
         "from cycenum.errors import InvalidParameters, OrderMismatch",
         "tables, primitive = field._tables, field._primitive_element",
-        "field._primitive_element = lambda modulus, x_powers, q: 8",
-        "for q, k in [(2, 4), (2, 14)]:",
+        "alpha = build_ext_field(12289, 1).alpha",
+        "field._primitive_element = lambda modulus, ctx, q: 8 if q == 2 else pow(alpha, 3, q)",
+        "for q, k in [(2, 4), (2, 14), (12289, 1)]:",
         "    build_ext_field.cache_clear()",
         "    try:",
         "        build_ext_field(q, k)",
